@@ -1,7 +1,8 @@
 """Quantum network: a trainable Hamiltonian schedule read out by measurement.
 
-The forward pass prepares a two-qubit density matrix, propagates it through
-the piecewise-constant schedule, and measures. The default readout is the
+The forward pass, batch_outputs, propagates a stack of two-qubit density
+matrices through the piecewise-constant schedule and measures each one
+through a Readout. The default readout is the
 squared two-qubit correlation Tr(rho ZZ)^2; tasks may substitute any Hermitian
 observable, optionally unsquared, through a Readout value. A projector readout
 is what makes valence-style gates (AND, OR and their negations) reachable:
@@ -34,8 +35,6 @@ from .quantum import (
     HamiltonianSchedule,
     PureState,
     ZZ,
-    correlation_squared,
-    propagate,
     pure_to_density,
     schedule_propagator,
 )
@@ -115,15 +114,6 @@ def random_schedule(n_slices: int, total_time: float, rng) -> HamiltonianSchedul
     return HamiltonianSchedule.from_array(
         rng.uniform(-1.0, 1.0, 5 * n_slices), total_time
     )
-
-
-def forward(state: PureState, schedule: HamiltonianSchedule) -> float:
-    return correlation_squared(propagate(pure_to_density(state), schedule))
-
-
-def witness(state: PureState, schedule: HamiltonianSchedule) -> float:
-    """Read the trained correlation output as an entanglement estimate."""
-    return forward(state, schedule)
 
 
 def states_to_rhos(states: Sequence[PureState]) -> np.ndarray:

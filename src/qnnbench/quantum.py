@@ -1,8 +1,9 @@
 """Two-qubit state algebra.
 
 Pure states, density matrices, Hamiltonian construction, piecewise-constant
-time propagation and the measurement functionals used as network readouts.
-All operations are pure functions; hbar = 1 throughout.
+time propagation, the observables that network readouts measure, and the
+closed-form entanglement of formation. All operations are pure functions;
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
 NORM_TOL = 1e-9
 
-DEFAULT_SLICE_COUNT = 4
 DEFAULT_TOTAL_TIME = 1.0
 
 
@@ -258,12 +258,6 @@ def reference_propagate(
             k4 = rate(m + step * k3)
             m = m + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return m
-
-
-def correlation_squared(rho: DensityMatrix) -> float:
-    """Squared two-qubit correlation (Tr(rho Z_A Z_B))^2, in [0, 1]."""
-    val = float(np.trace(rho.entries @ ZZ).real)
-    return min(1.0, val * val)
 
 
 def eof_pure(state: PureState) -> float:

@@ -53,15 +53,16 @@ def onehot_rule(output, label) -> bool:
 
 
 def nearest_mean_rule(class_means):
-    """Decision rule for scalar outputs: pick the class whose mean training
-    output is closest. For sorted means this is exactly a threshold rule
-    with cuts at the midpoints between adjacent class means."""
+    """Decision rule for a single output, given as a scalar or a one-element
+    row: pick the class whose mean training output is closest. For sorted
+    means this is exactly a threshold rule with cuts at the midpoints between
+    adjacent class means."""
     means = np.asarray(class_means, dtype=float)
     if means.ndim != 1 or means.size < 2:
         raise ValidationError("need at least two class means")
 
     def rule(output, label) -> bool:
-        picked = int(np.argmin(np.abs(means - float(output))))
+        picked = int(np.argmin(np.abs(means - np.asarray(output, dtype=float).item())))
         return picked == int(label)
 
     return rule

@@ -1,5 +1,12 @@
 """Experiment orchestration: configure nets, run seeded trials, score them.
 
+Every experiment runs through one trial pipeline. The task drivers
+(run_gates, run_iris, run_entanglement) only supply TrialData; run_trial
+draws the init RNG, builds and trains the net through its per-net step,
+predicts (n, outputs) real arrays and scores them. The steps look up the
+nets' entry points on their modules at every trial, so a replacement
+installed there is what runs.
+
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
 so one integer reproduces a whole table and trials stay independent of the
@@ -8,12 +15,14 @@ and 3 (witness test set) live in the tasks module; this module adds 4 for
 network initialization, further split by net and task variant.
 
 Wall-clock timing is off by default so that repeated runs of the same
-config serialize to identical bytes; pass timing=True to record it.
+config serialize to identical bytes; pass timing=True to record how long
+each trial takes to build, train and score its net.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +69,20 @@ DEFAULT_TRAIN_SIZE = {"iris": 75, "entanglement": 4}
 WITNESS_TEST_SIZE = 25
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _valid_param(key: str, value) -> bool:
+    """Whether a net_params value has its default's type; the nets check the
+    ranges of the real-valued ones."""
+    if key == "backtracking":
+        return isinstance(value, bool)
+    if key in ("hidden", "max_epochs", "slices"):
+        return (key == "hidden" and value is None) or (_is_count(value) and value >= 1)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -84,13 +107,15 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
         for seed in self.seeds:
-            if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+            if not _is_count(seed):
                 raise ValidationError("seeds must be integers")
             if seed < 0:
                 raise ValidationError("seeds must be >= 0")
         if self.train_size is not None:
             if self.experiment == "gates":
                 raise ValidationError("gates has a fixed 4-row training set")
+            if not _is_count(self.train_size):
+                raise ValidationError("train_size must be an integer")
             if self.train_size < 1:
                 raise ValidationError("train_size must be >= 1")
         if self.output_format not in ("csv", "markdown"):
@@ -99,13 +124,11 @@ class ExperimentConfig:
             if net not in NETS:
                 raise ValidationError(f"net_params for unknown net {net!r}")
             allowed = set(DEFAULTS[self.experiment][net])
-            for key in overrides:
+            for key, value in overrides.items():
                 if key not in allowed:
-                    raise ValidationError(
-                        f"{net} does not accept parameter {key!r}"
-                    )
-            if not isinstance(overrides.get("backtracking", False), bool):
-                raise ValidationError("backtracking must be true or false")
+                    raise ValidationError(f"{net} does not accept parameter {key!r}")
+                if not _valid_param(key, value):
+                    raise ValidationError(f"{net} {key} cannot be {value!r}")
 
     def resolved(self, net: str) -> Dict[str, object]:
         params = dict(DEFAULTS[self.experiment][net])
@@ -113,68 +136,101 @@ class ExperimentConfig:
         return params
 
 
-def _init_rng(seed: int, net: str, variant: int = 0):
-    entropy = (seed, ROLE_NET_INIT, NETS.index(net), variant)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+@dataclass(frozen=True)
+class TrialData:
+    """What a task hands to one trial: training pairs in the net's encoding,
+    real target rows for the training and held-out inputs, the readout (None
+    for the net's default) and, for an accuracy, test labels plus a function
+    from the training predictions to a decision rule. variant splits the init
+    stream between the tasks of one experiment."""
+
+    label: str
+    train: Sequence
+    train_targets: Sequence
+    test_inputs: Optional[Sequence] = None
+    test_targets: Optional[Sequence] = None
+    readout: object = None
+    decision_rule: Optional[Callable[[np.ndarray], Callable]] = None
+    test_labels: Optional[Sequence] = None
+    variant: int = 0
 
 
-def _clock(enabled: bool):
-    return time.perf_counter() if enabled else 0.0
+def _layer_sizes(params, pairs):
+    """Input width, the hidden width when there is one, output width."""
+    n_in, n_out = len(pairs[0][0]), len(pairs[0][1])
+    return (n_in, n_out) if params["hidden"] is None else (n_in, params["hidden"], n_out)
 
 
-def _elapsed_ms(enabled: bool, start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0 if enabled else 0.0
+# Per-net steps: build and train the net, and return the train result with a
+# predict function from encoded inputs to an (n, outputs) real array.
+
+def _rvnn_step(params, data, rng, seed):
+    stack = rvnn.random_stack(
+        _layer_sizes(params, data.train), params["learning_rate"], rng
+    )
+    result = rvnn.train_to_threshold(
+        stack, data.train, params["rms_target"], params["max_epochs"]
+    )
+    return result, lambda xs: np.array([rvnn.forward(result.net, x) for x in xs])
 
 
-# ---------------------------------------------------------------------------
-# Gates
-# ---------------------------------------------------------------------------
+def _cvnn_step(params, data, rng, seed):
+    readout = data.readout or cvnn.unmap
+    stack = cvnn.random_stack(_layer_sizes(params, data.train), rng)
+    result = cvnn.train_to_threshold(
+        stack, data.train, params["rms_target"], params["max_epochs"], readout=readout
+    )
+    return result, lambda xs: np.array(
+        [[readout(z) for z in cvnn.forward(result.net, x)] for x in xs]
+    )
 
-def _gate_trial(gate_idx: int, task, net: str, seed: int, config) -> RunReport:
+
+def _qnn_step(params, data, rng, seed):
+    readout = data.readout or qnn.CORRELATION
+    schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
+    config = qnn.QnnConfig(
+        learning_rate=params["learning_rate"],
+        max_epochs=params["max_epochs"],
+        rms_target=params["rms_target"],
+        seed=seed,
+        backtracking=params["backtracking"],
+    )
+    result = qnn.train(data.train, config, schedule, readout=readout)
+    return result, lambda states: qnn.batch_outputs(
+        qnn.states_to_rhos(states), result.schedule, readout
+    )[:, None]
+
+
+_NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
+
+
+def run_trial(config: ExperimentConfig, net: str, seed: int, data: TrialData):
+    """Build, train, predict and score one net on one task for one seed;
+    returns the trial's RunReport."""
     params = config.resolved(net)
-    label = f"gates:{task.name}"
-    rng = _init_rng(seed, net, gate_idx)
-    start = _clock(config.timing)
-    if net == "rvnn":
-        pairs = tasks.gate_encode_rvnn(task)
-        sizes = (2, 1) if params["hidden"] is None else (2, params["hidden"], 1)
-        stack = rvnn.random_stack(sizes, params["learning_rate"], rng)
-        result = rvnn.train_to_threshold(
-            stack, pairs, params["rms_target"], params["max_epochs"]
-        )
-        outs = [rvnn.forward(result.net, x) for x, _ in pairs]
-        train_rms = rms_percent(outs, [t for _, t in pairs])
-    elif net == "cvnn":
-        pairs, readout = tasks.gate_encode_cvnn(task)
-        sizes = (2, 1) if params["hidden"] is None else (2, params["hidden"], 1)
-        stack = cvnn.random_stack(sizes, rng)
-        result = cvnn.train_to_threshold(
-            stack, pairs, params["rms_target"], params["max_epochs"], readout=readout
-        )
-        outs = [[readout(z) for z in cvnn.forward(result.net, x)] for x, _ in pairs]
-        train_rms = rms_percent(outs, [[float(t)] for _, t in task.pairs])
-    else:
-        pairs, readout = tasks.gate_encode_qnn(task)
-        schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
-        cfg = qnn.QnnConfig(
-            learning_rate=params["learning_rate"],
-            max_epochs=params["max_epochs"],
-            rms_target=params["rms_target"],
-            seed=seed,
-            backtracking=params["backtracking"],
-        )
-        result = qnn.train(pairs, cfg, schedule, readout=readout)
-        rhos = qnn.states_to_rhos([s for s, _ in pairs])
-        outs = qnn.batch_outputs(rhos, result.schedule, readout)
-        train_rms = rms_percent(outs, [t for _, t in pairs])
+    entropy = (seed, ROLE_NET_INIT, NETS.index(net), data.variant)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    start = time.perf_counter() if config.timing else 0.0
+    result, predict = _NET_STEPS[net](params, data, rng, seed)
+    train_outs = predict([x for x, _ in data.train])
+    train_rms = rms_percent(train_outs, data.train_targets)
+    test_rms = accuracy = None
+    if data.test_inputs is not None:
+        test_outs = predict(data.test_inputs)
+        test_rms = rms_percent(test_outs, data.test_targets)
+        if data.decision_rule is not None:
+            rule = data.decision_rule(train_outs)
+            accuracy = accuracy_percent(list(test_outs), data.test_labels, rule)
     return RunReport(
-        experiment=label,
+        experiment=data.label,
         net=net,
         seed=seed,
         epochs_used=result.epochs_used,
         converged=result.converged,
         train_rms_pct=train_rms,
-        wall_time_ms=_elapsed_ms(config.timing, start),
+        test_rms_pct=test_rms,
+        accuracy_pct=accuracy,
+        wall_time_ms=1000.0 * (time.perf_counter() - start) if config.timing else 0.0,
         hyperparameters=params,
     )
 
@@ -184,79 +240,27 @@ def run_gates(config: ExperimentConfig) -> List[RunReport]:
     reports = []
     for gate_idx, name in enumerate(tasks.GATE_NAMES):
         task = tasks.gate_dataset(name)
+        targets = [[float(t)] for _, t in task.pairs]
         for net in config.nets:
+            readout = None
+            if net == "rvnn":
+                pairs = tasks.gate_encode_rvnn(task)
+            elif net == "cvnn":
+                pairs, readout = tasks.gate_encode_cvnn(task)
+            else:
+                pairs, readout = tasks.gate_encode_qnn(task)
+            data = TrialData(
+                f"gates:{name}", pairs, targets, readout=readout, variant=gate_idx
+            )
             for seed in config.seeds:
-                reports.append(_gate_trial(gate_idx, task, net, seed, config))
+                reports.append(run_trial(config, net, seed, data))
     return reports
 
 
-# ---------------------------------------------------------------------------
-# Iris
-# ---------------------------------------------------------------------------
-
-def _iris_classical(net, train, test, bounds, params, rng):
-    encode = tasks.iris_encode_onehot if net == "rvnn" else tasks.iris_encode_cvnn
-    train_pairs = [encode(r, bounds) for r in train]
-    test_pairs = [encode(r, bounds) for r in test]
-    sizes = (4, params["hidden"], 3)
-    if net == "rvnn":
-        stack = rvnn.random_stack(sizes, params["learning_rate"], rng)
-        result = rvnn.train_to_threshold(
-            stack, train_pairs, params["rms_target"], params["max_epochs"]
-        )
-        predict = lambda x: rvnn.forward(result.net, x)
-    else:
-        stack = cvnn.random_stack(sizes, rng)
-        result = cvnn.train_to_threshold(
-            stack, train_pairs, params["rms_target"], params["max_epochs"]
-        )
-        predict = lambda x: np.array(
-            [cvnn.unmap(z) for z in cvnn.forward(result.net, x)]
-        )
-    # Outputs come from each net's own encoded inputs; scores compare them
-    # against the plain one-hot targets either way.
-    train_targets = [tasks.iris_encode_onehot(r, bounds)[1] for r in train]
-    test_targets = [tasks.iris_encode_onehot(r, bounds)[1] for r in test]
-    train_outs = [predict(x) for x, _ in train_pairs]
-    test_outs = [predict(x) for x, _ in test_pairs]
-    train_rms = rms_percent(train_outs, train_targets)
-    test_rms = rms_percent(test_outs, test_targets)
-    accuracy = accuracy_percent(test_outs, test_targets, onehot_rule)
-    return result, train_rms, test_rms, accuracy
-
-
-def _iris_qnn(train, test, params, rng, seed):
-    train_pairs = [tasks.iris_encode_qnn(r) for r in train]
-    test_pairs = [tasks.iris_encode_qnn(r) for r in test]
-    schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
-    cfg = qnn.QnnConfig(
-        learning_rate=params["learning_rate"],
-        max_epochs=params["max_epochs"],
-        rms_target=params["rms_target"],
-        seed=seed,
-        backtracking=params["backtracking"],
-    )
-    result = qnn.train(train_pairs, cfg, schedule)
-    train_rhos = qnn.states_to_rhos([s for s, _ in train_pairs])
-    test_rhos = qnn.states_to_rhos([s for s, _ in test_pairs])
-    train_outs = qnn.batch_outputs(train_rhos, result.schedule)
-    test_outs = qnn.batch_outputs(test_rhos, result.schedule)
-    train_rms = rms_percent(train_outs, [t for _, t in train_pairs])
-    test_rms = rms_percent(test_outs, [t for _, t in test_pairs])
-    # Scalar outputs turn into classes through cuts at the midpoints of the
-    # per-species mean training outputs.
-    train_labels = np.array([tasks.species_index(r) for r in train])
-    means = [
-        float(np.mean(train_outs[train_labels == k])) for k in range(3)
-    ]
-    rule = nearest_mean_rule(means)
-    test_labels = [tasks.species_index(r) for r in test]
-    accuracy = accuracy_percent(list(test_outs), test_labels, rule)
-    return result, train_rms, test_rms, accuracy
-
-
 def run_iris(config: ExperimentConfig) -> List[RunReport]:
-    """Stratified-split Iris classification for every net and seed."""
+    """Stratified-split Iris classification for every net and seed. The
+    classical nets output one value per species; the qnn's single score picks
+    the species whose mean training output is nearest."""
     records = tasks.load_iris(config.iris_path)
     bounds = tasks.feature_bounds(records)
     n_train = config.train_size or DEFAULT_TRAIN_SIZE["iris"]
@@ -264,83 +268,33 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
     reports = []
     for seed in config.seeds:
         train, test = tasks.split_stratified(records, n_train, seed)
+        split = train + test
+        onehot = [tasks.iris_encode_onehot(r, bounds)[1] for r in split]
+        species = np.array([tasks.species_index(r) for r in split])
         for net in config.nets:
-            params = config.resolved(net)
-            rng = _init_rng(seed, net)
-            start = _clock(config.timing)
             if net == "qnn":
-                result, train_rms, test_rms, accuracy = _iris_qnn(
-                    train, test, params, rng, seed
+                pairs = [tasks.iris_encode_qnn(r) for r in split]
+                targets = [[t] for _, t in pairs]
+                labels = species
+                rule = lambda outs: nearest_mean_rule(
+                    [float(np.mean(outs[species[:n_train] == k])) for k in range(3)]
                 )
             else:
-                result, train_rms, test_rms, accuracy = _iris_classical(
-                    net, train, test, bounds, params, rng
-                )
-            reports.append(
-                RunReport(
-                    experiment=label,
-                    net=net,
-                    seed=seed,
-                    epochs_used=result.epochs_used,
-                    converged=result.converged,
-                    train_rms_pct=train_rms,
-                    test_rms_pct=test_rms,
-                    accuracy_pct=accuracy,
-                    wall_time_ms=_elapsed_ms(config.timing, start),
-                    hyperparameters=params,
-                )
+                encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
+                pairs = [encode(r, bounds) for r in split]
+                targets = labels = onehot
+                rule = lambda outs: onehot_rule
+            data = TrialData(
+                label,
+                pairs[:n_train],
+                targets[:n_train],
+                [x for x, _ in pairs[n_train:]],
+                targets[n_train:],
+                decision_rule=rule,
+                test_labels=labels[n_train:],
             )
+            reports.append(run_trial(config, net, seed, data))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Entanglement witness
-# ---------------------------------------------------------------------------
-
-def _witness_classical(net, train_pairs_raw, test_pairs_raw, params, rng):
-    encode = (
-        tasks.witness_encode_rvnn if net == "rvnn" else tasks.witness_encode_cvnn
-    )
-    train_pairs = [encode(p) for p in train_pairs_raw]
-    test_pairs = [encode(p) for p in test_pairs_raw]
-    sizes = (16, params["hidden"], 1)
-    if net == "rvnn":
-        stack = rvnn.random_stack(sizes, params["learning_rate"], rng)
-        result = rvnn.train_to_threshold(
-            stack, train_pairs, params["rms_target"], params["max_epochs"]
-        )
-        predict = lambda x: float(rvnn.forward(result.net, x)[0])
-    else:
-        stack = cvnn.random_stack(sizes, rng)
-        result = cvnn.train_to_threshold(
-            stack, train_pairs, params["rms_target"], params["max_epochs"]
-        )
-        predict = lambda x: cvnn.unmap(cvnn.forward(result.net, x)[0])
-    train_outs = [predict(x) for x, _ in train_pairs]
-    test_outs = [predict(x) for x, _ in test_pairs]
-    train_tgts = [p.target for p in train_pairs_raw]
-    test_tgts = [p.target for p in test_pairs_raw]
-    return result, rms_percent(train_outs, train_tgts), rms_percent(test_outs, test_tgts)
-
-
-def _witness_qnn(train_pairs_raw, test_pairs_raw, params, rng, seed):
-    train_pairs = [tasks.witness_encode_qnn(p) for p in train_pairs_raw]
-    schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
-    cfg = qnn.QnnConfig(
-        learning_rate=params["learning_rate"],
-        max_epochs=params["max_epochs"],
-        rms_target=params["rms_target"],
-        seed=seed,
-        backtracking=params["backtracking"],
-    )
-    result = qnn.train(train_pairs, cfg, schedule)
-    train_rhos = qnn.states_to_rhos([s for s, _ in train_pairs])
-    test_rhos = qnn.states_to_rhos([p.state for p in test_pairs_raw])
-    train_outs = qnn.batch_outputs(train_rhos, result.schedule)
-    test_outs = qnn.batch_outputs(test_rhos, result.schedule)
-    train_rms = rms_percent(train_outs, [t for _, t in train_pairs])
-    test_rms = rms_percent(test_outs, [p.target for p in test_pairs_raw])
-    return result, train_rms, test_rms
 
 
 def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
@@ -349,33 +303,20 @@ def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
     label = f"entanglement:{n_train}"
     reports = []
     for seed in config.seeds:
-        train_pairs = tasks.witness_dataset(n_train, seed)
-        test_pairs = tasks.witness_testset(WITNESS_TEST_SIZE, seed)
+        train = tasks.witness_dataset(n_train, seed)
+        test = tasks.witness_testset(WITNESS_TEST_SIZE, seed)
+        train_targets = [[p.target] for p in train]
+        test_targets = [[p.target] for p in test]
         for net in config.nets:
-            params = config.resolved(net)
-            rng = _init_rng(seed, net)
-            start = _clock(config.timing)
             if net == "qnn":
-                result, train_rms, test_rms = _witness_qnn(
-                    train_pairs, test_pairs, params, rng, seed
-                )
+                pairs = [tasks.witness_encode_qnn(p) for p in train]
+                test_inputs = [p.state for p in test]
             else:
-                result, train_rms, test_rms = _witness_classical(
-                    net, train_pairs, test_pairs, params, rng
-                )
-            reports.append(
-                RunReport(
-                    experiment=label,
-                    net=net,
-                    seed=seed,
-                    epochs_used=result.epochs_used,
-                    converged=result.converged,
-                    train_rms_pct=train_rms,
-                    test_rms_pct=test_rms,
-                    wall_time_ms=_elapsed_ms(config.timing, start),
-                    hyperparameters=params,
-                )
-            )
+                encode = tasks.witness_encode_cvnn if net == "cvnn" else tasks.witness_encode_rvnn
+                pairs = [encode(p) for p in train]
+                test_inputs = [encode(p)[0] for p in test]
+            data = TrialData(label, pairs, train_targets, test_inputs, test_targets)
+            reports.append(run_trial(config, net, seed, data))
     return reports
 
 

@@ -163,28 +163,6 @@ def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
     return TrainResult(net, max_epochs, False, history)
 
 
-class SweepEntry(NamedTuple):
-    rate: float
-    epochs_used: int
-    converged: bool
-
-
-def sweep_learning_rates(sizes, pairs, rates, rms_target, max_epochs, seed):
-    """Train one fresh net per candidate rate and rank by epochs to threshold.
-
-    Every candidate starts from the same seeded initialization so the sweep
-    isolates the rate. Returns (best_rate, entries); non-converged rates lose
-    to any converged one.
-    """
-    entries = []
-    for rate in rates:
-        net = random_stack(sizes, rate, np.random.default_rng(seed))
-        result = train_to_threshold(net, pairs, rms_target, max_epochs)
-        entries.append(SweepEntry(rate, result.epochs_used, result.converged))
-    best = min(entries, key=lambda e: (not e.converged, e.epochs_used, e.rate))
-    return best.rate, entries
-
-
 def stack_to_json(net: RealLayerStack) -> str:
     payload = {
         "layers": [

@@ -178,6 +178,22 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"train_size": 4.5},
+            {"train_size": True},
+            {"net_params": {"qnn": {"max_epochs": "3"}}},
+        ],
+        ids=["fractional-train-size", "bool-train-size", "string-max-epochs"],
+    )
+    def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["entanglement", "--nets", "qnn", "--config", str(path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_iris_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "iris.csv"
         path.write_text("5.1,3.5,1.4,0.2,unicorn\n", encoding="utf-8")

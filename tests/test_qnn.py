@@ -11,7 +11,8 @@ from qnnbench.quantum import (
     HamiltonianSchedule,
     PureState,
     SliceParams,
-    correlation_squared,
+    ZZ,
+    propagate,
     pure_to_density,
     reference_propagate,
 )
@@ -28,46 +29,46 @@ def single_tunneling_schedule(k_a, total_time):
 BASIS_00 = PureState(1.0, 0.0, 0.0, 0.0)
 
 
+def correlation_output(state, schedule):
+    """The default readout of one state, through the batch path."""
+    return float(qnn.batch_outputs(qnn.states_to_rhos([state]), schedule)[0])
+
+
 # ---------------------------------------------------------------------------
 # Forward pass
 # ---------------------------------------------------------------------------
 
 class TestForward:
     def test_untrained_zero_schedule_on_basis_state_reads_one(self):
-        assert qnn.forward(BASIS_00, zero_schedule()) == pytest.approx(1.0)
+        assert correlation_output(BASIS_00, zero_schedule()) == pytest.approx(1.0)
 
     def test_single_qubit_tunneling_full_flip_period(self):
         # One slice driving qubit A alone turns the correlation into
         # cos^2(2 k t); at k=1, t=pi/2 the square comes back to exactly 1.
-        out = qnn.forward(BASIS_00, single_tunneling_schedule(1.0, np.pi / 2))
+        out = correlation_output(BASIS_00, single_tunneling_schedule(1.0, np.pi / 2))
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_single_qubit_tunneling_quarter_period_reads_zero(self):
-        out = qnn.forward(BASIS_00, single_tunneling_schedule(1.0, np.pi / 4))
+        out = correlation_output(BASIS_00, single_tunneling_schedule(1.0, np.pi / 4))
         assert out == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("t_f", [0.3, np.pi / 4, np.pi / 2, 1.7])
     def test_tunneling_output_matches_time_stepped_integrator(self, t_f):
         schedule = single_tunneling_schedule(1.0, t_f)
         rho = DensityMatrix(reference_propagate(pure_to_density(BASIS_00), schedule))
-        assert qnn.forward(BASIS_00, schedule) == pytest.approx(
-            correlation_squared(rho), abs=1e-9
-        )
-        assert qnn.forward(BASIS_00, schedule) == pytest.approx(
-            np.cos(2.0 * t_f) ** 2, abs=1e-9
-        )
-
-    def test_witness_is_the_forward_output(self):
-        schedule = qnn.random_schedule(3, 1.0, np.random.default_rng(7))
-        state = PureState(0.5, 0.5, 0.5, 0.5)
-        assert qnn.witness(state, schedule) == qnn.forward(state, schedule)
+        out = correlation_output(BASIS_00, schedule)
+        assert out == pytest.approx(qnn.CORRELATION.values(rho.entries[None])[0], abs=1e-9)
+        assert out == pytest.approx(np.cos(2.0 * t_f) ** 2, abs=1e-9)
 
     def test_batch_outputs_match_single_forward(self):
         rng = np.random.default_rng(3)
         schedule = qnn.random_schedule(4, 1.0, rng)
         states = [tasks.sample_pure_state(rng) for _ in range(6)]
         batch = qnn.batch_outputs(qnn.states_to_rhos(states), schedule)
-        singles = [qnn.forward(s, schedule) for s in states]
+        singles = [
+            np.trace(propagate(pure_to_density(s), schedule).entries @ ZZ).real ** 2
+            for s in states
+        ]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_projector_readout_solves_and_gate_at_identity(self):

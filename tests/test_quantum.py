@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qnnbench import qnn
 from qnnbench.errors import ValidationError
 from qnnbench.quantum import (
     HamiltonianSchedule,
@@ -11,7 +12,6 @@ from qnnbench.quantum import (
     SliceParams,
     ZZ,
     build_hamiltonian,
-    correlation_squared,
     eof_pure,
     propagate,
     pure_to_density,
@@ -207,6 +207,11 @@ def test_propagate_matches_reference_integrator():
 # ---------------------------------------------------------------------------
 # Measurement functionals
 # ---------------------------------------------------------------------------
+
+def correlation_squared(rho):
+    """The squared-correlation readout of one density matrix."""
+    return float(qnn.CORRELATION.values(rho.entries[None])[0])
+
 
 def test_correlation_squared_basis_state():
     assert correlation_squared(pure_to_density(PureState(1, 0, 0, 0))) == 1.0

@@ -4,6 +4,7 @@ runs live in the acceptance suite."""
 
 import pytest
 
+from qnnbench import cvnn, qnn, rvnn
 from qnnbench.errors import ValidationError
 from qnnbench.reporting import reports_to_csv
 from qnnbench.runner import (
@@ -75,6 +76,41 @@ class TestConfig:
             experiment="gates", net_params={"qnn": {"backtracking": True}}
         )
         assert config.resolved("qnn")["backtracking"] is True
+
+    def test_train_size_must_be_an_integer(self):
+        for value in (4.5, True, "4"):
+            with pytest.raises(ValidationError):
+                ExperimentConfig(experiment="entanglement", train_size=value)
+
+    @pytest.mark.parametrize(
+        "net, key, value",
+        [
+            ("qnn", "max_epochs", "3"),
+            ("qnn", "max_epochs", True),
+            ("rvnn", "max_epochs", 0),
+            ("qnn", "slices", 1.5),
+            ("qnn", "slices", 0),
+            ("rvnn", "hidden", 0),
+            ("cvnn", "hidden", 2.5),
+            ("rvnn", "learning_rate", "0.5"),
+            ("qnn", "rms_target", None),
+            ("qnn", "t_f", False),
+        ],
+    )
+    def test_rejects_a_net_param_of_the_wrong_type(self, net, key, value):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(experiment="iris", net_params={net: {key: value}})
+
+    def test_accepts_every_documented_net_param_type(self):
+        config = ExperimentConfig(
+            experiment="iris",
+            net_params={
+                "rvnn": {"hidden": None, "learning_rate": 1, "max_epochs": 3},
+                "cvnn": {"hidden": 4, "rms_target": 0.05},
+                "qnn": {"slices": 2, "t_f": 2, "backtracking": True},
+            },
+        )
+        assert config.resolved("rvnn")["hidden"] is None
 
     def test_resolved_merges_overrides_onto_defaults(self):
         config = ExperimentConfig(
@@ -206,3 +242,68 @@ class TestDeterminismAndTiming:
         )
         labels = {r.experiment.split(":")[0] for r in run_experiment(config)}
         assert labels == {"gates"}
+
+
+def _counting(monkeypatch, module, attr, calls, net):
+    """Replace module.attr with a wrapper that records (net, args) per call."""
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append((net, args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+class TestTrialPipeline:
+    TINY = {
+        "rvnn": {"max_epochs": 3},
+        "cvnn": {"max_epochs": 2},
+        "qnn": {"max_epochs": 2},
+    }
+
+    @pytest.mark.parametrize(
+        "experiment, seeds, train_size",
+        [("gates", (1,), None), ("iris", (0, 2), 12), ("entanglement", (0, 1), None)],
+    )
+    def test_entry_points_are_looked_up_at_call_time(
+        self, monkeypatch, experiment, seeds, train_size
+    ):
+        calls = []
+        _counting(monkeypatch, rvnn, "train_to_threshold", calls, "rvnn")
+        _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
+        _counting(monkeypatch, qnn, "train", calls, "qnn")
+        config = ExperimentConfig(
+            experiment=experiment,
+            seeds=seeds,
+            train_size=train_size,
+            net_params=self.TINY,
+        )
+        reports = run_experiment(config)
+        assert [net for net, _, _ in calls] == [r.net for r in reports]
+        for (net, args, _), report in zip(calls, reports):
+            if net == "qnn":
+                assert args[1].seed == report.seed
+
+    @pytest.mark.parametrize(
+        "experiment, sizes",
+        [("iris", {"rvnn": (4, 3), "cvnn": (4, 3)}),
+         ("entanglement", {"rvnn": (16, 1), "cvnn": (16, 1)})],
+    )
+    def test_hidden_none_trains_a_single_layer_net(self, monkeypatch, experiment, sizes):
+        calls = []
+        _counting(monkeypatch, rvnn, "train_to_threshold", calls, "rvnn")
+        _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
+        config = ExperimentConfig(
+            experiment=experiment,
+            nets=("rvnn", "cvnn"),
+            train_size=12 if experiment == "iris" else None,
+            net_params={
+                "rvnn": {"hidden": None, "max_epochs": 3},
+                "cvnn": {"hidden": None, "max_epochs": 2},
+            },
+        )
+        reports = run_experiment(config)
+        assert [r.net for r in reports] == ["rvnn", "cvnn"]
+        assert all(r.test_rms_pct is not None for r in reports)
+        assert {net: args[0].sizes for net, args, _ in calls} == sizes

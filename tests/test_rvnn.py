@@ -152,15 +152,6 @@ def test_training_is_deterministic_per_seed():
     assert histories[0] == histories[1]
 
 
-def test_learning_rate_sweep_prefers_faster_convergence():
-    best, entries = rvnn.sweep_learning_rates(
-        (2, 1), gate_pairs([0, 1, 1, 1]), [0.5, 2.0, 8.0], 0.01, 30_000, seed=0
-    )
-    assert best == 8.0
-    epochs = {e.rate: e.epochs_used for e in entries}
-    assert epochs[8.0] < epochs[2.0] < epochs[0.5]
-
-
 # ---------------------------------------------------------------------------
 # Gradient correctness
 # ---------------------------------------------------------------------------
