@@ -12,11 +12,7 @@ import sys
 
 from .errors import DatasetFormatError, DatasetIntegrityError, ValidationError
 from .reporting import emit_report
-from .runner import NETS, ExperimentConfig, run_experiment
-
-# Flags that feed per-net hyperparameters, with the nets they can apply to.
-_LR_NETS = ("rvnn", "qnn")
-_HIDDEN_NETS = ("rvnn", "cvnn")
+from .runner import DEFAULTS, NETS, ExperimentConfig, run_experiment
 
 
 def _split_csv(text: str):
@@ -66,11 +62,19 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ValidationError("config file must hold a JSON object")
+    # JSON types of the fields read here rather than in ExperimentConfig.
+    for key, kind, what in (
+        ("nets", list, "an array"),
+        ("seeds", list, "an array"),
+        ("net_params", dict, "an object"),
+        ("timing", bool, "true or false"),
+    ):
+        if key in payload and not isinstance(payload[key], kind):
+            raise ValidationError(f"config {key} must be {what}")
+    for overrides in payload.get("net_params", {}).values():
+        if not isinstance(overrides, dict):
+            raise ValidationError("config net_params must map each net to an object")
     return payload
-
-
-def _merge_net_params(base: dict, net: str, key: str, value) -> None:
-    base.setdefault(net, {})[key] = value
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -106,29 +110,25 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         net: dict(overrides)
         for net, overrides in file_cfg.get("net_params", {}).items()
     }
+    # Each per-net flag reaches the selected nets whose defaults carry its key.
+    # With no known net selected, ExperimentConfig rejects the nets instead.
+    defaults = DEFAULTS[experiment]
     selected = [n for n in NETS if n in nets]
-    if args.epochs is not None:
-        for net in selected:
-            _merge_net_params(net_params, net, "max_epochs", args.epochs)
-    if args.lr is not None:
-        targets = [n for n in selected if n in _LR_NETS]
-        if not targets:
-            raise ValidationError("--lr applies to rvnn and qnn only")
+    for flag, key, value in (
+        ("--epochs", "max_epochs", args.epochs),
+        ("--lr", "learning_rate", args.lr),
+        ("--hidden", "hidden", args.hidden),
+        ("--slices", "slices", args.slices),
+        ("--tf", "t_f", args.tf),
+    ):
+        if value is None:
+            continue
+        targets = [n for n in selected if key in defaults[n]]
+        if selected and not targets:
+            accepting = " and ".join(n for n in NETS if key in defaults[n])
+            raise ValidationError(f"{flag} applies to {accepting} only")
         for net in targets:
-            _merge_net_params(net_params, net, "learning_rate", args.lr)
-    if args.hidden is not None:
-        targets = [n for n in selected if n in _HIDDEN_NETS]
-        if not targets:
-            raise ValidationError("--hidden applies to rvnn and cvnn only")
-        for net in targets:
-            _merge_net_params(net_params, net, "hidden", args.hidden)
-    if args.slices is not None or args.tf is not None:
-        if "qnn" not in selected:
-            raise ValidationError("--slices/--tf apply to the qnn only")
-        if args.slices is not None:
-            _merge_net_params(net_params, "qnn", "slices", args.slices)
-        if args.tf is not None:
-            _merge_net_params(net_params, "qnn", "t_f", args.tf)
+            net_params.setdefault(net, {})[key] = value
 
     iris_path = file_cfg.get("iris_path")
     if getattr(args, "iris_csv", None) is not None:
@@ -142,7 +142,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         output_format=output_format,
         net_params=net_params,
         iris_path=iris_path,
-        timing=bool(args.timing or file_cfg.get("timing", False)),
+        timing=args.timing or file_cfg.get("timing", False),
     )
 
 
@@ -152,10 +152,7 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         reports = run_experiment(config)
         text = emit_report(reports, config.output_format, args.out)
-    except (ValidationError, DatasetFormatError, DatasetIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, DatasetFormatError, DatasetIntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

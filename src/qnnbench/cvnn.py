@@ -21,7 +21,6 @@ before each pair's own update, and is returned as a fraction in [0, 1].
 """
 
 import cmath
-import json
 import warnings
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple, Union
@@ -51,8 +50,9 @@ def unmap(z: complex) -> float:
     return angle / np.pi
 
 
-def activation(z: complex) -> complex:
-    if z == 0:
+def activation(z):
+    """Project a neuron sum, or an array of them, onto the unit circle."""
+    if np.any(z == 0):
         raise DegenerateActivationError("neuron sum landed exactly on 0")
     return z / abs(z)
 
@@ -135,9 +135,7 @@ def _layer_signals(net, x):
     for w in net.weights:
         fed = _with_bias(net, current)
         sums = w @ fed
-        if np.any(sums == 0):
-            raise DegenerateActivationError("neuron sum landed exactly on 0")
-        acts = sums / np.abs(sums)
+        acts = activation(sums)
         signals.append((fed, sums, acts))
         current = acts
     return signals
@@ -190,7 +188,8 @@ def _pair_errors(net, signals, targets):
 
 def _apply_pair(net, x, targets):
     """Correct every layer in order, refreshing the fed signals after each
-    layer so later corrections see the weights already moved."""
+    layer so later corrections see the weights already moved. Returns the
+    output signals from before the update."""
     signals = _layer_signals(net, x)
     errors = _pair_errors(net, signals, targets)
     current = np.asarray(x, dtype=complex)
@@ -201,10 +200,8 @@ def _apply_pair(net, x, targets):
             raise ValidationError("zero input signal has no inverse")
         w += (errors[k][:, None] / w.shape[1]) / fed[None, :]
         if k < last:
-            sums = w @ fed
-            if np.any(sums == 0):
-                raise DegenerateActivationError("neuron sum landed exactly on 0")
-            current = sums / np.abs(sums)
+            current = activation(w @ fed)
+    return signals[-1][2]
 
 
 class EpochResult(NamedTuple):
@@ -228,12 +225,11 @@ def train_epoch(net, pairs, readout=unmap) -> EpochResult:
     for x, targets in pairs:
         saved = [w.copy() for w in net.weights]
         try:
-            outs = forward(net, x)
+            outs = _apply_pair(net, x, targets)
             pair_sq = 0.0
             for z, spec in zip(outs, targets):
                 want = spec[0] if isinstance(spec, tuple) else spec
                 pair_sq += (readout(z) - readout(want)) ** 2
-            _apply_pair(net, x, targets)
             sq_sum += pair_sq
             n_components += len(targets)
         except DegenerateActivationError as exc:
@@ -268,43 +264,3 @@ def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
         if rms <= rms_target:
             return TrainResult(net, epoch, True, history, skipped)
     return TrainResult(net, max_epochs, False, history, skipped)
-
-
-def _encode(z: complex):
-    return [z.real, z.imag]
-
-
-def stack_to_json(net: ComplexLayerStack) -> str:
-    layers = []
-    for w in net.weights:
-        if net.use_bias:
-            core, bias_col = w[:, :-1], w[:, -1]
-        else:
-            core, bias_col = w, None
-        layers.append(
-            {
-                "w": [[_encode(v) for v in row] for row in core],
-                "b": None if bias_col is None else [_encode(v) for v in bias_col],
-            }
-        )
-    return json.dumps({"layers": layers, "lr": None})
-
-
-def stack_from_json(text: str) -> ComplexLayerStack:
-    payload = json.loads(text)
-    weights = []
-    use_bias = None
-    for layer in payload["layers"]:
-        core = np.array(
-            [[complex(re, im) for re, im in row] for row in layer["w"]]
-        )
-        has_bias = layer.get("b") is not None
-        if use_bias is None:
-            use_bias = has_bias
-        elif use_bias != has_bias:
-            raise ValidationError("layers disagree about bias columns")
-        if has_bias:
-            bias = np.array([complex(re, im) for re, im in layer["b"]])
-            core = np.concatenate([core, bias[:, None]], axis=1)
-        weights.append(core)
-    return ComplexLayerStack(weights, bool(use_bias))

@@ -56,7 +56,6 @@ class QnnConfig:
     learning_rate: float
     max_epochs: int
     rms_target: float = 0.01
-    fd_step: float = DEFAULT_FD_STEP
     seed: int = 0
     backtracking: bool = False
 
@@ -67,8 +66,6 @@ class QnnConfig:
             raise ValidationError("max_epochs must be at least 1")
         if not 0 < self.rms_target < 1:
             raise ValidationError("rms_target must lie in (0, 1)")
-        if not 0 < self.fd_step <= MAX_FD_STEP:
-            raise ValidationError(f"fd_step must lie in (0, {MAX_FD_STEP}]")
         if not isinstance(self.backtracking, bool):
             raise ValidationError("backtracking must be a bool")
 
@@ -196,7 +193,7 @@ def train(
     history = []
     for epoch in range(1, config.max_epochs + 1):
         schedule = HamiltonianSchedule.from_array(params, total_time)
-        step = gradient(schedule, trainset, config.fd_step, readout)
+        step = gradient(schedule, trainset, DEFAULT_FD_STEP, readout)
         slope = float(step @ step)
         rate = config.learning_rate
         for _ in range(MAX_HALVINGS + 1):

@@ -8,7 +8,6 @@ hbar = 1 throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -165,32 +164,6 @@ class HamiltonianSchedule:
             SliceParams(*values[5 * i : 5 * i + 5]) for i in range(values.size // 5)
         )
         return cls(slices, total_time)
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "total_time": self.total_time,
-                "slices": [
-                    {
-                        "K_A": s.k_a,
-                        "K_B": s.k_b,
-                        "eps_A": s.eps_a,
-                        "eps_B": s.eps_b,
-                        "zeta": s.zeta,
-                    }
-                    for s in self.slices
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        slices = tuple(
-            SliceParams(s["K_A"], s["K_B"], s["eps_A"], s["eps_B"], s["zeta"])
-            for s in data["slices"]
-        )
-        return cls(slices, float(data["total_time"]))
 
 
 def pure_to_density(state: PureState) -> DensityMatrix:

@@ -29,6 +29,7 @@ import numpy as np
 from . import cvnn, qnn, rvnn, tasks
 from .errors import ValidationError
 from .reporting import (
+    NET_NAMES as NETS,
     RunReport,
     accuracy_percent,
     nearest_mean_rule,
@@ -37,7 +38,6 @@ from .reporting import (
 )
 
 EXPERIMENTS = ("gates", "iris", "entanglement")
-NETS = ("rvnn", "cvnn", "qnn")
 
 ROLE_NET_INIT = 4
 

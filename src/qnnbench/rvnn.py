@@ -9,7 +9,6 @@ All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -70,20 +69,17 @@ def random_stack(sizes: Sequence[int], learning_rate: float, rng) -> RealLayerSt
     return RealLayerStack(weights, biases, learning_rate)
 
 
-def forward(net: RealLayerStack, x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (net.sizes[0],):
-        raise ValidationError(f"expected input of length {net.sizes[0]}")
-    for w, b in zip(net.weights, net.biases):
-        a = sigmoid(w @ a + b)
-    return a
-
-
 def _activations(net, x):
     acts = [np.asarray(x, dtype=float)]
     for w, b in zip(net.weights, net.biases):
         acts.append(sigmoid(w @ acts[-1] + b))
     return acts
+
+
+def forward(net: RealLayerStack, x) -> np.ndarray:
+    if np.shape(x) != (net.sizes[0],):
+        raise ValidationError(f"expected input of length {net.sizes[0]}")
+    return _activations(net, x)[-1]
 
 
 def pair_gradients(net: RealLayerStack, x, t):
@@ -161,21 +157,3 @@ def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
         if rms <= rms_target:
             return TrainResult(net, epoch, True, history)
     return TrainResult(net, max_epochs, False, history)
-
-
-def stack_to_json(net: RealLayerStack) -> str:
-    payload = {
-        "layers": [
-            {"w": w.tolist(), "b": b.tolist()}
-            for w, b in zip(net.weights, net.biases)
-        ],
-        "lr": net.learning_rate,
-    }
-    return json.dumps(payload)
-
-
-def stack_from_json(text: str) -> RealLayerStack:
-    payload = json.loads(text)
-    weights = [np.array(layer["w"], dtype=float) for layer in payload["layers"]]
-    biases = [np.array(layer["b"], dtype=float) for layer in payload["layers"]]
-    return RealLayerStack(weights, biases, payload["lr"])

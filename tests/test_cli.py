@@ -48,17 +48,35 @@ class TestConfigResolution:
             "t_f": 2.0,
         }
 
-    def test_lr_with_only_cvnn_is_a_config_error(self):
+    @pytest.mark.parametrize(
+        "flag,value,key,accepting",
+        [
+            ("--epochs", 7, "max_epochs", ("rvnn", "cvnn", "qnn")),
+            ("--lr", 0.5, "learning_rate", ("rvnn", "qnn")),
+            ("--hidden", 3, "hidden", ("rvnn", "cvnn")),
+            ("--slices", 2, "slices", ("qnn",)),
+            ("--tf", 2.0, "t_f", ("qnn",)),
+        ],
+        ids=["epochs", "lr", "hidden", "slices", "tf"],
+    )
+    def test_per_net_flag_reaches_only_the_nets_that_accept_it(
+        self, flag, value, key, accepting
+    ):
         from qnnbench.errors import ValidationError
 
-        with pytest.raises(ValidationError):
-            config_from_args(parse(["gates", "--nets", "cvnn", "--lr", "2"]))
+        config = config_from_args(parse(["gates", flag, str(value)]))
+        assert config.net_params == {net: {key: value} for net in accepting}
+        others = [n for n in ("rvnn", "cvnn", "qnn") if n not in accepting]
+        if others:
+            argv = ["gates", "--nets", ",".join(others), flag, str(value)]
+            with pytest.raises(ValidationError, match=" and ".join(accepting)):
+                config_from_args(parse(argv))
 
-    def test_slices_without_qnn_is_a_config_error(self):
+    def test_unknown_net_is_reported_before_a_per_net_flag(self):
         from qnnbench.errors import ValidationError
 
-        with pytest.raises(ValidationError):
-            config_from_args(parse(["gates", "--nets", "rvnn", "--slices", "2"]))
+        with pytest.raises(ValidationError, match="unknown net 'foo'"):
+            config_from_args(parse(["gates", "--nets", "foo", "--lr", "2"]))
 
     def test_config_file_is_used_and_flags_override_it(self, tmp_path):
         payload = {
@@ -184,8 +202,22 @@ class TestMain:
             {"train_size": 4.5},
             {"train_size": True},
             {"net_params": {"qnn": {"max_epochs": "3"}}},
+            {"seeds": 3},
+            {"nets": 5},
+            {"net_params": {"qnn": 3}},
+            {"net_params": [1]},
+            {"timing": "false"},
         ],
-        ids=["fractional-train-size", "bool-train-size", "string-max-epochs"],
+        ids=[
+            "fractional-train-size",
+            "bool-train-size",
+            "string-max-epochs",
+            "int-seeds",
+            "int-nets",
+            "int-net-params-entry",
+            "list-net-params",
+            "string-timing",
+        ],
     )
     def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):
         path = tmp_path / "config.json"

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 
 import numpy as np
@@ -194,6 +193,20 @@ def test_zero_error_pairs_leave_net_unchanged():
     assert skipped == 0
 
 
+def test_epoch_rms_is_the_error_before_the_update():
+    net = cvnn.random_stack((2, 3, 1), np.random.default_rng(5))
+    x, targets = gate_pairs([0, 0, 0, 1])[3]
+    want = cvnn.unmap(targets[0])
+    before_error = abs(cvnn.unmap(cvnn.forward(net, x)[0]) - want)
+    before = [w.copy() for w in net.weights]
+    _, rms, skipped = cvnn.train_epoch(net, [(x, targets)])
+    after_error = abs(cvnn.unmap(cvnn.forward(net, x)[0]) - want)
+    assert skipped == 0
+    assert not any(np.array_equal(w, b) for w, b in zip(net.weights, before))
+    assert before_error > 0.1 and abs(after_error - before_error) > 0.01
+    assert rms == pytest.approx(before_error, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "table,periodic",
     [
@@ -293,26 +306,3 @@ def test_nearest_target_selection():
     assert cvnn.nearest_target(spec, 0.9j) == pytest.approx(1.0j)
     assert cvnn.nearest_target(spec, -0.9j) == pytest.approx(-1.0j)
     assert cvnn.nearest_target(0.5 + 0j, 123.0 + 0j) == pytest.approx(0.5 + 0j)
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def test_json_round_trip_with_bias():
-    net = cvnn.random_stack((3, 4, 2), np.random.default_rng(23))
-    text = cvnn.stack_to_json(net)
-    parsed = json.loads(text)
-    assert set(parsed) == {"layers", "lr"}
-    assert parsed["lr"] is None
-    restored = cvnn.stack_from_json(text)
-    assert restored.use_bias
-    for a, b in zip(restored.weights, net.weights):
-        assert np.array_equal(a, b)
-
-
-def test_json_round_trip_without_bias():
-    net = cvnn.random_stack((2, 2), np.random.default_rng(29), bias=False)
-    restored = cvnn.stack_from_json(cvnn.stack_to_json(net))
-    assert not restored.use_bias
-    assert np.array_equal(restored.weights[0], net.weights[0])

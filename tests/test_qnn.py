@@ -218,7 +218,7 @@ class TestTrain:
         for _ in range(result.epochs_used):
             schedule = HamiltonianSchedule.from_array(params, start.total_time)
             params -= config.learning_rate * qnn.gradient(
-                schedule, pairs, config.fd_step, readout
+                schedule, pairs, qnn.DEFAULT_FD_STEP, readout
             )
             schedule = HamiltonianSchedule.from_array(params, start.total_time)
             history.append(float(np.sqrt(qnn.batch_loss(pairs, schedule, readout))))
@@ -262,8 +262,6 @@ class TestValidation:
             qnn.QnnConfig(learning_rate=1.0, max_epochs=0)
         with pytest.raises(ValidationError):
             qnn.QnnConfig(learning_rate=1.0, max_epochs=10, rms_target=1.5)
-        with pytest.raises(ValidationError):
-            qnn.QnnConfig(learning_rate=1.0, max_epochs=10, fd_step=0.5)
         for value in (1, "true", None, np.bool_(True)):
             with pytest.raises(ValidationError):
                 qnn.QnnConfig(learning_rate=1.0, max_epochs=10, backtracking=value)

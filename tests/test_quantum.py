@@ -305,14 +305,6 @@ def test_correlation_after_propagation_is_quadratic_form():
         assert pred == pytest.approx(output(s), abs=1e-8)
 
 
-def test_schedule_json_round_trip():
-    rng = np.random.default_rng(43)
-    schedule = random_schedule(rng, n_slices=3, total_time=2.5)
-    restored = HamiltonianSchedule.from_json(schedule.to_json())
-    assert restored.total_time == schedule.total_time
-    assert np.allclose(restored.as_array(), schedule.as_array())
-
-
 def test_schedule_propagator_matches_slicewise_product():
     rng = np.random.default_rng(47)
     schedule = random_schedule(rng, n_slices=3)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -187,20 +186,3 @@ def test_gradients_match_finite_differences():
         for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
             rel = np.abs(a - n) / np.maximum(np.abs(n), 1e-8)
             assert np.max(rel) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def test_json_round_trip():
-    net = rvnn.random_stack((3, 5, 2), 0.7, np.random.default_rng(21))
-    text = rvnn.stack_to_json(net)
-    parsed = json.loads(text)
-    assert set(parsed) == {"layers", "lr"}
-    restored = rvnn.stack_from_json(text)
-    assert restored.learning_rate == net.learning_rate
-    for a, b in zip(restored.weights, net.weights):
-        assert np.array_equal(a, b)
-    for a, b in zip(restored.biases, net.biases):
-        assert np.array_equal(a, b)
