@@ -68,6 +68,7 @@ def _load_config_file(path: str) -> dict:
         ("seeds", list, "an array"),
         ("net_params", dict, "an object"),
         ("timing", bool, "true or false"),
+        ("iris_path", (str, type(None)), "a string or null"),
     ):
         if key in payload and not isinstance(payload[key], kind):
             raise ValidationError(f"config {key} must be {what}")

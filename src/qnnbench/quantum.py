@@ -4,6 +4,12 @@ Pure states, density matrices, Hamiltonian construction, piecewise-constant
 time propagation, the observables that network readouts measure, and the
 closed-form entanglement of formation. All operations are pure functions;
 hbar = 1 throughout.
+
+There is one propagator, propagators: it turns a stack of schedules, one
+parameter vector per row, into their unitaries with one batched
+eigendecomposition of every slice Hamiltonian. schedule_propagator and
+slice_propagator are one-row calls of it, and reference_propagate is the
+independent RK4 check on all three.
 """
 
 from __future__ import annotations
@@ -172,34 +178,47 @@ def pure_to_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-def build_hamiltonian(params: SliceParams) -> np.ndarray:
+def build_hamiltonian(coeffs) -> np.ndarray:
     """Two-qubit Hamiltonian with X tunneling, Z bias and ZZ coupling terms.
 
-    Real symmetric by construction (every term is a real Pauli word).
+    The trailing axis of coeffs holds (k_a, k_b, eps_a, eps_b, zeta), so a
+    stack of shape (..., 5) gives Hamiltonians of shape (..., 4, 4). Real
+    symmetric by construction (every term is a real Pauli word).
     """
-    return (
-        params.k_a * X_A
-        + params.k_b * X_B
-        + params.eps_a * Z_A
-        + params.eps_b * Z_B
-        + params.zeta * ZZ
-    )
+    c = np.asarray(coeffs, dtype=float)
+    k_a, k_b, eps_a, eps_b, zeta = (c[..., i, None, None] for i in range(5))
+    return k_a * X_A + k_b * X_B + eps_a * Z_A + eps_b * Z_B + zeta * ZZ
+
+
+def propagators(params, dt: float) -> np.ndarray:
+    """Total propagators of a stack of schedules: (n, 5 S) -> (n, 4, 4).
+
+    Each row holds S slices of length dt. All n S slice unitaries
+    exp(-i H dt) come from one batched eigendecomposition of the real
+    symmetric Hamiltonians; each schedule's product applies later slices on
+    the left.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive")
+    params = np.asarray(params, dtype=float)
+    coeffs = params.reshape(len(params), -1, 5)
+    evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
+    phases = np.exp(-1j * dt * evals)[..., None, :]
+    slices = (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
+    u = slices[:, 0]
+    for s in range(1, coeffs.shape[1]):
+        u = slices[:, s] @ u
+    return u
 
 
 def slice_propagator(params: SliceParams, dt: float) -> np.ndarray:
-    """Unitary exp(-i H dt) via eigendecomposition of the real symmetric H."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be positive")
-    evals, evecs = np.linalg.eigh(build_hamiltonian(params))
-    return (evecs * np.exp(-1j * dt * evals)) @ evecs.T.conj()
+    """Unitary exp(-i H dt) of one slice."""
+    return propagators([params.as_tuple()], dt)[0]
 
 
 def schedule_propagator(schedule: HamiltonianSchedule) -> np.ndarray:
     """Total propagator, later slices applied on the left."""
-    u = np.eye(4, dtype=complex)
-    for params in schedule.slices:
-        u = slice_propagator(params, schedule.dt) @ u
-    return u
+    return propagators(schedule.as_array()[None], schedule.dt)[0]
 
 
 def propagate(rho: DensityMatrix, schedule: HamiltonianSchedule) -> DensityMatrix:
@@ -218,7 +237,7 @@ def reference_propagate(
     """
     m = np.array(rho.entries, dtype=complex)
     for params in schedule.slices:
-        h = build_hamiltonian(params).astype(complex)
+        h = build_hamiltonian(params.as_tuple()).astype(complex)
         step = schedule.dt / substeps
 
         def rate(x):

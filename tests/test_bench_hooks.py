@@ -50,14 +50,16 @@ def test_bench_hooks_wrap_live_names_and_are_undone(monkeypatch):
             "entanglement",
             nets=("qnn",),
             seeds=(3,),
-            net_params={"qnn": {"max_epochs": 1}},
+            net_params={"qnn": {"max_epochs": 2}},
         )
         runner.run_experiment(config)
         [(net, args, result)] = observed
         assert net == "qnn" and args["config"].seed == 3
         assert list(args["trainset"]) and args["readout"] is qnn.CORRELATION
-        assert result.epochs_used == 1
+        assert result.epochs_used == 2
         summary = recorder.summary()
+        # train must reach the traced gradient once per epoch.
+        assert summary["qnn.gradient"]["calls"] == result.epochs_used
         for name in (
             "runner.run",
             "qnn.train",

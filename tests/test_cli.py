@@ -207,6 +207,8 @@ class TestMain:
             {"net_params": {"qnn": 3}},
             {"net_params": [1]},
             {"timing": "false"},
+            {"iris_path": 2.5},
+            {"iris_path": 0},
         ],
         ids=[
             "fractional-train-size",
@@ -217,6 +219,8 @@ class TestMain:
             "int-net-params-entry",
             "list-net-params",
             "string-timing",
+            "float-iris-path",
+            "int-iris-path",
         ],
     )
     def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):

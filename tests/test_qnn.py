@@ -4,7 +4,7 @@ gradients, and full-batch training."""
 import numpy as np
 import pytest
 
-from qnnbench import qnn, tasks
+from qnnbench import qnn, runner, tasks
 from qnnbench.errors import ValidationError
 from qnnbench.quantum import (
     DensityMatrix,
@@ -27,6 +27,35 @@ def single_tunneling_schedule(k_a, total_time):
 
 
 BASIS_00 = PureState(1.0, 0.0, 0.0, 0.0)
+
+
+def sequential_armijo(pairs, start, config):
+    """The backtracking line search as a loop that tries one rate at a time;
+    returns the final parameters, the RMS history and the rejected trials."""
+    total_time = start.total_time
+
+    def loss(values):
+        return qnn.batch_loss(pairs, HamiltonianSchedule.from_array(values, total_time))
+
+    params = start.as_array()
+    current = loss(params)
+    history, rejected = [], 0
+    for _ in range(config.max_epochs):
+        step = qnn.gradient(HamiltonianSchedule.from_array(params, total_time), pairs)
+        slope = float(step @ step)
+        rate = config.learning_rate
+        for _ in range(qnn.MAX_HALVINGS + 1):
+            trial = params - rate * step
+            trial_loss = loss(trial)
+            if trial_loss <= current - qnn.ARMIJO_C1 * rate * slope:
+                params, current = trial, trial_loss
+                break
+            rate /= 2.0
+            rejected += 1
+        history.append(float(np.sqrt(current)))
+        if history[-1] <= config.rms_target:
+            break
+    return params, history, rejected
 
 
 def correlation_output(state, schedule):
@@ -146,6 +175,38 @@ class TestGradient:
             assert coarse / fine == pytest.approx(4.0, rel=0.25)
         assert checked >= 2
 
+    @pytest.mark.parametrize("n_slices", [1, 2, 3, 4])
+    @pytest.mark.parametrize("batch_size", [1, 4, 75])
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    @pytest.mark.parametrize(
+        "readout", [qnn.CORRELATION, qnn.basis_projector(1, 2)], ids=["zz", "projector"]
+    )
+    def test_stacked_gradient_equals_one_schedule_differences(
+        self, n_slices, batch_size, scale, readout
+    ):
+        # gradient evaluates all shifted schedules as one stack; each entry
+        # must be the central difference of two one-schedule batch losses.
+        rng = np.random.default_rng(10 * n_slices + batch_size)
+        params = scale * rng.uniform(-1.0, 1.0, 5 * n_slices)
+        schedule = HamiltonianSchedule.from_array(params, 1.0)
+        batch = [
+            (tasks.sample_pure_state(rng), float(rng.uniform()))
+            for _ in range(batch_size)
+        ]
+        h = qnn.DEFAULT_FD_STEP
+
+        def loss(values):
+            shifted = HamiltonianSchedule.from_array(values, schedule.total_time)
+            return qnn.batch_loss(batch, shifted, readout)
+
+        expected = np.empty_like(params)
+        for p in range(params.size):
+            up, down = params.copy(), params.copy()
+            up[p] += h
+            down[p] -= h
+            expected[p] = (loss(up) - loss(down)) / (2.0 * h)
+        assert np.array_equal(qnn.gradient(schedule, batch, h, readout), expected)
+
     def test_rejects_empty_batch_and_bad_step(self):
         schedule = zero_schedule()
         with pytest.raises(ValidationError):
@@ -243,6 +304,55 @@ class TestTrain:
         assert np.all(np.diff(armijo.rms_history) <= 0)
         initial = np.sqrt(qnn.batch_loss(pairs, start, readout))
         assert armijo.rms_history[0] < initial
+
+    def test_batched_line_search_takes_the_sequential_choice(self, monkeypatch):
+        # Witness seed 7 at the entanglement defaults runs all 2000 epochs and
+        # halves the rate about 18 times per epoch; the halvings tried as one
+        # stack must pick the step the one-at-a-time loop picks.
+        calls = []
+        train = qnn.train
+
+        def recorded(trainset, config, initial_schedule, readout=qnn.CORRELATION):
+            result = train(trainset, config, initial_schedule, readout)
+            calls.append((trainset, config, initial_schedule, result))
+            return result
+
+        monkeypatch.setattr(qnn, "train", recorded)
+        runner.run_experiment(
+            runner.ExperimentConfig("entanglement", nets=("qnn",), seeds=(7,))
+        )
+        [(pairs, config, start, result)] = calls
+        assert config.backtracking
+        params, history, rejected = sequential_armijo(pairs, start, config)
+        assert rejected >= 15 * len(history)
+        assert result.rms_history == history
+        assert np.array_equal(result.schedule.as_array(), params)
+
+    def test_line_search_that_finds_no_step_leaves_the_schedule(self):
+        pairs = [tasks.witness_encode_qnn(p) for p in tasks.witness_dataset(4, 0)]
+        start = qnn.random_schedule(1, 1.5, 0)
+        config = qnn.QnnConfig(learning_rate=1e308, max_epochs=3, backtracking=True)
+        result = qnn.train(pairs, config, start)
+        params, history, rejected = sequential_armijo(pairs, start, config)
+        assert rejected == 3 * (qnn.MAX_HALVINGS + 1)
+        assert result.rms_history == history == [0.5669263910234797] * 3
+        assert np.array_equal(result.schedule.as_array(), start.as_array())
+
+    def test_non_finite_parameters_are_rejected(self):
+        # The stacked loss keeps the check each SliceParams made: any row
+        # with a nan or inf entry fails the whole evaluation.
+        rhos = qnn.states_to_rhos([BASIS_00])
+        for bad in (np.nan, np.inf, -np.inf):
+            stack = np.zeros((3, 10))
+            stack[1, 7] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                qnn._losses(stack, 1.0, rhos, np.ones(1), qnn.CORRELATION)
+        # A trial step that overflows stops training the same way: at this
+        # length the gradient exceeds 1, so the step overflows to inf.
+        pairs = [tasks.witness_encode_qnn(p) for p in tasks.witness_dataset(4, 0)]
+        config = qnn.QnnConfig(learning_rate=1e308, max_epochs=1)
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
+            qnn.train(pairs, config, qnn.random_schedule(1, 50.0, 0))
 
     def test_rejects_empty_trainset(self):
         config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)

@@ -15,6 +15,7 @@ from qnnbench.quantum import (
     eof_pure,
     propagate,
     pure_to_density,
+    propagators,
     reference_propagate,
     schedule_propagator,
     slice_propagator,
@@ -96,17 +97,17 @@ def test_density_matrix_rejects_bad_inputs():
 # ---------------------------------------------------------------------------
 
 def test_hamiltonian_all_zero():
-    h = build_hamiltonian(SliceParams(0, 0, 0, 0, 0))
+    h = build_hamiltonian([0, 0, 0, 0, 0])
     assert np.all(h == 0)
 
 
 def test_hamiltonian_coupling_spectrum():
-    h = build_hamiltonian(SliceParams(0, 0, 0, 0, 1.0))
+    h = build_hamiltonian([0, 0, 0, 0, 1.0])
     assert np.allclose(h, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_hamiltonian_tunneling_structure():
-    h = build_hamiltonian(SliceParams(1.0, 0, 0, 0, 0))
+    h = build_hamiltonian([1.0, 0, 0, 0, 0])
     expected = np.zeros((4, 4))
     for i, j in [(0, 2), (2, 0), (1, 3), (3, 1)]:
         expected[i, j] = 1.0
@@ -121,7 +122,7 @@ def test_hamiltonian_rejects_non_finite():
 def test_hamiltonian_hermitian_random():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        h = build_hamiltonian(SliceParams(*rng.uniform(-10, 10, 5)))
+        h = build_hamiltonian(rng.uniform(-10, 10, 5))
         assert np.max(np.abs(h - h.T.conj())) < 1e-12
 
 
@@ -314,3 +315,26 @@ def test_schedule_propagator_matches_slicewise_product():
         manual = slice_propagator(p, schedule.dt) @ manual
     assert np.allclose(u, manual)
     assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
+
+
+def test_stacked_propagators_equal_the_one_schedule_propagator():
+    # Each row of a stack must come out bit for bit as it does alone, and
+    # multi-slice rows must agree with the RK4 integrator.
+    rng = np.random.default_rng(53)
+    for n_slices in (1, 2, 3, 4):
+        stack = rng.uniform(-2.0, 2.0, (5, 5 * n_slices))
+        us = propagators(stack, 1.0 / n_slices)
+        assert us.shape == (5, 4, 4)
+        for row, u in zip(stack, us):
+            schedule = HamiltonianSchedule.from_array(row, 1.0)
+            assert np.array_equal(u, schedule_propagator(schedule))
+            if n_slices > 1:
+                rho = pure_to_density(random_state(rng))
+                evolved = u @ rho.entries @ u.conj().T
+                assert np.max(np.abs(evolved - reference_propagate(rho, schedule))) < 1e-9
+
+
+def test_propagators_reject_a_bad_slice_length():
+    for dt in (0.0, -0.5, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            propagators(np.zeros((1, 5)), dt)
