@@ -7,6 +7,7 @@ error), 1 for configuration or I/O problems, 2 for argument parse errors.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -62,58 +63,45 @@ def _load_config_file(path: str) -> dict:
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ValidationError("config file must hold a JSON object")
-    # JSON types of the fields read here rather than in ExperimentConfig.
-    for key, kind, what in (
-        ("nets", list, "an array"),
-        ("seeds", list, "an array"),
-        ("net_params", dict, "an object"),
-        ("timing", bool, "true or false"),
-        ("iris_path", (str, type(None)), "a string or null"),
-    ):
-        if key in payload and not isinstance(payload[key], kind):
-            raise ValidationError(f"config {key} must be {what}")
-    for overrides in payload.get("net_params", {}).values():
-        if not isinstance(overrides, dict):
-            raise ValidationError("config net_params must map each net to an object")
     return payload
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     experiment = args.experiment
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    if "experiment" in file_cfg and file_cfg["experiment"] != experiment:
+    fields = _load_config_file(args.config) if args.config else {}
+    if fields.setdefault("experiment", experiment) != experiment:
         raise ValidationError(
-            f"config file is for {file_cfg['experiment']!r}, "
+            f"config file is for {fields['experiment']!r}, "
             f"but the subcommand is {experiment!r}"
         )
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key in fields:
+        if key not in known:
+            raise ValidationError(f"unknown config key {key!r}")
+    config = ExperimentConfig(**fields)
 
-    nets = tuple(file_cfg.get("nets", NETS))
+    flags = {}
     if args.nets is not None:
-        nets = _split_csv(args.nets)
-
-    seeds = tuple(file_cfg.get("seeds", (0,)))
+        flags["nets"] = _split_csv(args.nets)
     if args.seeds is not None:
-        raw = _split_csv(args.seeds)
         try:
-            seeds = tuple(int(s) for s in raw)
+            flags["seeds"] = tuple(int(s) for s in _split_csv(args.seeds))
         except ValueError:
             raise ValidationError(f"seeds must be integers, got {args.seeds!r}")
-
-    train_size = file_cfg.get("train_size")
     if getattr(args, "train_size", None) is not None:
-        train_size = args.train_size
-
-    output_format = file_cfg.get("output_format", "csv")
+        flags["train_size"] = args.train_size
     if args.format is not None:
-        output_format = args.format
+        flags["output_format"] = args.format
+    if getattr(args, "iris_csv", None) is not None:
+        flags["iris_path"] = args.iris_csv
+    if args.timing:
+        flags["timing"] = True
 
-    net_params = {
-        net: dict(overrides)
-        for net, overrides in file_cfg.get("net_params", {}).items()
-    }
+    net_params = {net: dict(o) for net, o in config.net_params.items()}
     # Each per-net flag reaches the selected nets whose defaults carry its key.
     # With no known net selected, ExperimentConfig rejects the nets instead.
     defaults = DEFAULTS[experiment]
+    nets = flags.get("nets", config.nets)
     selected = [n for n in NETS if n in nets]
     for flag, key, value in (
         ("--epochs", "max_epochs", args.epochs),
@@ -131,20 +119,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for net in targets:
             net_params.setdefault(net, {})[key] = value
 
-    iris_path = file_cfg.get("iris_path")
-    if getattr(args, "iris_csv", None) is not None:
-        iris_path = args.iris_csv
-
-    return ExperimentConfig(
-        experiment=experiment,
-        nets=nets,
-        seeds=seeds,
-        train_size=train_size,
-        output_format=output_format,
-        net_params=net_params,
-        iris_path=iris_path,
-        timing=args.timing or file_cfg.get("timing", False),
-    )
+    return dataclasses.replace(config, net_params=net_params, **flags)
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ layer separate parity-style tasks that the half-turn encoding cannot.
 
 Epoch RMS is measured on the unmapped real outputs as pairs are visited,
 before each pair's own update, and is returned as a fraction in [0, 1].
+Epochs repeat under the shared stop rule of qnnbench.training.
 """
 
 import cmath
@@ -28,6 +29,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DegenerateActivationError, ValidationError
+from .training import run_epochs
 
 TargetSpec = Union[complex, Tuple[complex, ...]]
 
@@ -251,16 +253,13 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
-    if not 0 < rms_target < 1:
-        raise ValidationError("rms_target must lie in (0, 1)")
-    if max_epochs < 1:
-        raise ValidationError("max_epochs must be at least 1")
-    history = []
     skipped = 0
-    for epoch in range(1, max_epochs + 1):
+
+    def epoch():
+        nonlocal skipped
         _, rms, s = train_epoch(net, pairs, readout)
-        history.append(rms)
         skipped += s
-        if rms <= rms_target:
-            return TrainResult(net, epoch, True, history, skipped)
-    return TrainResult(net, max_epochs, False, history, skipped)
+        return rms
+
+    used, converged, history = run_epochs(epoch, rms_target, max_epochs)
+    return TrainResult(net, used, converged, history, skipped)

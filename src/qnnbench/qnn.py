@@ -12,9 +12,10 @@ four truth tables can never all be matched at once.
 
 Training is full-batch gradient descent where the gradient comes from
 central finite differences on the mean squared error, five parameters per
-slice. One epoch is one gradient step. By default the step is the fixed
-learning rate times the gradient. With QnnConfig.backtracking the step is
-chosen by Armijo backtracking (Armijo 1966; Nocedal & Wright, Numerical
+slice. One epoch is one gradient step, and epochs repeat under the shared
+stop rule of qnnbench.training. By default the step is the fixed learning
+rate times the gradient. With QnnConfig.backtracking the step is chosen by
+Armijo backtracking (Armijo 1966; Nocedal & Wright, Numerical
 Optimization, ch. 3): the learning rate is tried first and halved until the
 loss falls by at least ARMIJO_C1 times the rate times the squared gradient
 norm, so the training loss never rises. The entanglement witness trains with
@@ -46,6 +47,7 @@ from .quantum import (
     pure_to_density,
     schedule_propagator,
 )
+from .training import check_stop_rule, run_epochs
 
 MAX_FD_STEP = 1e-2
 DEFAULT_FD_STEP = 1e-3
@@ -70,10 +72,7 @@ class QnnConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning rate must be positive")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be at least 1")
-        if not 0 < self.rms_target < 1:
-            raise ValidationError("rms_target must lie in (0, 1)")
+        check_stop_rule(self.rms_target, self.max_epochs)
         if not isinstance(self.backtracking, bool):
             raise ValidationError("backtracking must be a bool")
 
@@ -205,8 +204,9 @@ def train(
     total_time = initial_schedule.total_time
     loss = _losses(params[None], total_time, rhos, targets, readout)[0]
     halvings = 2.0 ** np.arange(1, MAX_HALVINGS + 1)
-    history = []
-    for epoch in range(1, config.max_epochs + 1):
+
+    def epoch():
+        nonlocal params, loss
         schedule = HamiltonianSchedule.from_array(params, total_time)
         step = gradient(schedule, trainset, DEFAULT_FD_STEP, readout)
         slope = float(step @ step)
@@ -224,18 +224,7 @@ def train(
             passed = np.flatnonzero(losses <= loss - ARMIJO_C1 * rates * slope)
             if passed.size:
                 params, loss = trials[passed[0]], losses[passed[0]]
-        rms = np.sqrt(loss)
-        history.append(float(rms))
-        if rms <= config.rms_target:
-            return TrainResult(
-                HamiltonianSchedule.from_array(params, total_time),
-                epoch,
-                True,
-                history,
-            )
-    return TrainResult(
-        HamiltonianSchedule.from_array(params, total_time),
-        config.max_epochs,
-        False,
-        history,
-    )
+        return float(np.sqrt(loss))
+
+    run = run_epochs(epoch, config.rms_target, config.max_epochs)
+    return TrainResult(HamiltonianSchedule.from_array(params, total_time), *run)

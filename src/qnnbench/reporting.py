@@ -209,7 +209,7 @@ def reports_to_markdown(reports: Sequence[RunReport]) -> str:
 
 
 def emit_report(reports: Sequence[RunReport], output_format: str, destination=None) -> str:
-    """Serialize reports and optionally write them to a path or file object.
+    """Serialize reports and optionally write them to the path destination.
 
     Returns the serialized text; destination None means the caller prints it.
     """
@@ -220,9 +220,6 @@ def emit_report(reports: Sequence[RunReport], output_format: str, destination=No
     else:
         raise ValidationError(f"unknown output format {output_format!r}")
     if destination is not None:
-        if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-            with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        else:
-            destination.write(text)
+        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
     return text

@@ -97,6 +97,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {self.experiment!r}")
+        for name, kind, what in (
+            ("nets", (list, tuple), "a list"),
+            ("seeds", (list, tuple), "a list"),
+            ("net_params", dict, "a dict"),
+            ("timing", bool, "a bool"),
+            ("iris_path", (str, type(None)), "a string or None"),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ValidationError(f"{name} must be {what}")
+        object.__setattr__(self, "nets", tuple(self.nets))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.nets:
             raise ValidationError("nets must be nonempty")
         for net in self.nets:
@@ -123,6 +134,8 @@ class ExperimentConfig:
         for net, overrides in self.net_params.items():
             if net not in NETS:
                 raise ValidationError(f"net_params for unknown net {net!r}")
+            if not isinstance(overrides, dict):
+                raise ValidationError(f"net_params for {net} must be a dict")
             allowed = set(DEFAULTS[self.experiment][net])
             for key, value in overrides.items():
                 if key not in allowed:

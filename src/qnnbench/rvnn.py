@@ -3,7 +3,8 @@
 The network is a plain layer stack: every layer computes sigmoid(W x + b).
 Training visits pairs in order and applies one gradient step per pair, and the
 epoch error is accumulated from each forward pass before its update, so a zero
-learning rate reports exactly the static error of the starting weights.
+learning rate reports exactly the static error of the starting weights. Epochs
+repeat under the stop rule shared by all three nets (qnnbench.training).
 
 All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
@@ -15,6 +16,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
+from .training import run_epochs
 
 Pair = Tuple[np.ndarray, np.ndarray]
 
@@ -145,15 +147,6 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
-    """Run epochs until the fractional RMS drops to rms_target or epochs run out."""
-    if not 0 < rms_target < 1:
-        raise ValidationError("rms_target must lie in (0, 1)")
-    if max_epochs < 1:
-        raise ValidationError("max_epochs must be at least 1")
-    history = []
-    for epoch in range(1, max_epochs + 1):
-        _, rms = train_epoch(net, pairs)
-        history.append(rms)
-        if rms <= rms_target:
-            return TrainResult(net, epoch, True, history)
-    return TrainResult(net, max_epochs, False, history)
+    """Run epochs under the shared stop rule of qnnbench.training."""
+    run = run_epochs(lambda: train_epoch(net, pairs)[1], rms_target, max_epochs)
+    return TrainResult(net, *run)

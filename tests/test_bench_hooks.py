@@ -48,16 +48,23 @@ def test_bench_hooks_wrap_live_names_and_are_undone(monkeypatch):
 
         config = runner.ExperimentConfig(
             "entanglement",
-            nets=("qnn",),
             seeds=(3,),
-            net_params={"qnn": {"max_epochs": 2}},
+            net_params={net: {"max_epochs": 2} for net in runner.NETS},
         )
         runner.run_experiment(config)
-        [(net, args, result)] = observed
-        assert net == "qnn" and args["config"].seed == 3
+        assert [(net, res.epochs_used) for net, _, res in observed] == [
+            ("rvnn", 2),
+            ("cvnn", 2),
+            ("qnn", 2),
+        ]
+        # The bench reads the skipped-pair count off the cvnn result.
+        assert observed[1][2].skipped == 0
+        net, args, result = observed[2]
+        assert args["config"].seed == 3
         assert list(args["trainset"]) and args["readout"] is qnn.CORRELATION
-        assert result.epochs_used == 2
         summary = recorder.summary()
+        assert summary["rvnn.train"]["calls"] == 1
+        assert summary["cvnn.train"]["calls"] == 1
         # train must reach the traced gradient once per epoch.
         assert summary["qnn.gradient"]["calls"] == result.epochs_used
         for name in (

@@ -106,6 +106,14 @@ class TestConfigResolution:
         with pytest.raises(ValidationError):
             config_from_args(parse(["iris", "--config", str(path)]))
 
+    def test_unknown_config_key_is_named(self, tmp_path):
+        from qnnbench.errors import ValidationError
+
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": [3]}', encoding="utf-8")
+        with pytest.raises(ValidationError, match="'seed'"):
+            config_from_args(parse(["iris", "--config", str(path)]))
+
 
     def test_config_file_backtracking_must_be_a_bool(self, tmp_path):
         from qnnbench.errors import ValidationError
@@ -209,6 +217,7 @@ class TestMain:
             {"timing": "false"},
             {"iris_path": 2.5},
             {"iris_path": 0},
+            {"nets": ["foo"]},
         ],
         ids=[
             "fractional-train-size",
@@ -221,6 +230,7 @@ class TestMain:
             "string-timing",
             "float-iris-path",
             "int-iris-path",
+            "bad-value-overridden-by-a-flag",
         ],
     )
     def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):

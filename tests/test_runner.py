@@ -44,6 +44,26 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(experiment="gates", seeds=(0.5,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seeds", 3),
+            ("nets", 5),
+            ("nets", "qnn"),
+            ("net_params", {"qnn": 3}),
+            ("net_params", [1]),
+            ("timing", "false"),
+            ("iris_path", 2.5),
+        ],
+    )
+    def test_rejects_a_field_of_the_wrong_shape(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ExperimentConfig("iris", **{field: value})
+
+    def test_list_selections_are_stored_as_tuples(self):
+        config = ExperimentConfig("iris", nets=["qnn", "rvnn"], seeds=[2, 1])
+        assert config.nets == ("qnn", "rvnn") and config.seeds == (2, 1)
+
     def test_gates_refuses_a_train_size(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(experiment="gates", train_size=4)

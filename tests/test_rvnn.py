@@ -133,11 +133,6 @@ def test_converged_net_stops_after_one_epoch():
 
 def test_threshold_argument_validation():
     net = zeros_stack((2, 1))
-    pairs = gate_pairs([0, 0, 0, 1])
-    with pytest.raises(ValidationError):
-        rvnn.train_to_threshold(net, pairs, 1.5, 10)
-    with pytest.raises(ValidationError):
-        rvnn.train_to_threshold(net, pairs, 0.01, 0)
     with pytest.raises(ValidationError):
         rvnn.train_epoch(net, [])
 
