@@ -1,12 +1,12 @@
 """Complex-valued network with unit-circle activation and inverse-signal updates.
 
-Signals live on the complex unit circle. A neuron sums its weighted inputs and
-the activation projects the sum back onto the circle; learning divides the
-output error across the incoming weights through multiplication by the inverse
-input signals. Applied with the raw weighted sum (update_output_neuron), one
-such update moves the sum exactly onto the target; the training loop instead
-measures the error from the activated signal, which leaves a fixed point once
-the output angles are right. There is no learning rate anywhere in the rule.
+Signals live on the complex unit circle. A neuron sums its weighted inputs
+plus a bias weight fed by 1+0i, and the activation projects the sum back onto
+the circle. Learning is one rule, correct_layer: a neuron's error is split
+evenly over its weights, each share times the inverse of its input. Given the
+error from the raw sum, one correction lands the sum exactly on the target;
+training measures the error from the activated signal instead, which leaves a
+fixed point once the output angles are right. No learning rate is involved.
 
 Real values in [0, 1] enter and leave the network through map_scalar/unmap
 (half-turn encoding: 0 sits at angle 0, 1 at angle pi, and unmap reflects the
@@ -83,88 +83,73 @@ def nearest_target(spec: TargetSpec, z: complex) -> complex:
 
 @dataclass
 class ComplexLayerStack:
-    """Complex weight matrices; when use_bias is set, each matrix carries one
-    extra trailing column fed by a constant input of 1+0i."""
+    """Complex weight matrices. Each matrix carries one extra trailing
+    column, the bias weights, fed by a constant input of 1+0i."""
 
     weights: List[np.ndarray]
-    use_bias: bool = True
 
     def __post_init__(self):
         if not self.weights:
             raise ValidationError("need at least one layer")
-        extra = 1 if self.use_bias else 0
         for k, w in enumerate(self.weights):
             if w.ndim != 2:
                 raise ValidationError(f"layer {k}: weights must be a matrix")
             if not np.all(np.isfinite(w)):
                 raise ValidationError(f"layer {k}: non-finite weights")
-            if k > 0 and w.shape[1] - extra != self.weights[k - 1].shape[0]:
+            if k > 0 and w.shape[1] - 1 != self.weights[k - 1].shape[0]:
                 raise ValidationError(f"layer {k}: input width breaks the chain")
 
     @property
     def sizes(self):
-        extra = 1 if self.use_bias else 0
-        return (self.weights[0].shape[1] - extra,) + tuple(
+        return (self.weights[0].shape[1] - 1,) + tuple(
             w.shape[0] for w in self.weights
         )
 
 
-def random_stack(sizes: Sequence[int], rng, bias: bool = True) -> ComplexLayerStack:
+def random_stack(sizes: Sequence[int], rng) -> ComplexLayerStack:
     """Weights with modulus uniform in [0.1, 0.5] and uniform phase, so no
     starting weight sits at the origin (inverses are taken during training)."""
     rng = np.random.default_rng(rng)
-    extra = 1 if bias else 0
     weights = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-        mod = rng.uniform(0.1, 0.5, (n_out, n_in + extra))
-        phase = rng.uniform(0.0, 2.0 * np.pi, (n_out, n_in + extra))
+        mod = rng.uniform(0.1, 0.5, (n_out, n_in + 1))
+        phase = rng.uniform(0.0, 2.0 * np.pi, (n_out, n_in + 1))
         weights.append(mod * np.exp(1j * phase))
-    return ComplexLayerStack(weights, bias)
+    return ComplexLayerStack(weights)
 
 
-def _with_bias(net, x):
-    if net.use_bias:
-        return np.concatenate([x, [1.0 + 0.0j]])
-    return x
+def _with_bias(x):
+    return np.concatenate([x, [1.0 + 0.0j]])
 
 
-def _layer_signals(net, x):
-    """Per layer: (inputs incl. bias slot, weighted sums, activations)."""
-    signals = []
+def forward(net: ComplexLayerStack, x) -> np.ndarray:
     current = np.asarray(x, dtype=complex)
     if current.shape != (net.sizes[0],):
         raise ValidationError(f"expected input of length {net.sizes[0]}")
     for w in net.weights:
-        fed = _with_bias(net, current)
-        sums = w @ fed
-        acts = activation(sums)
-        signals.append((fed, sums, acts))
-        current = acts
-    return signals
+        current = activation(w @ _with_bias(current))
+    return current
 
 
-def forward(net: ComplexLayerStack, x) -> np.ndarray:
-    return _layer_signals(net, x)[-1][2]
+def correct_layer(weights, inputs, errors) -> np.ndarray:
+    """The error-correction rule for one layer; returns the new weights.
 
-
-def update_output_neuron(weights, inputs, target: complex) -> np.ndarray:
-    """One exact correction: returns weights whose new sum equals target.
-
-    The error t - z is split evenly over the incoming weights, each share
-    multiplied by the inverse of the signal that weight carries.
+    Each neuron's error is split evenly over its incoming weights, and each
+    share is multiplied by the inverse of the signal that weight carries.
+    With errors = target - weights @ inputs, every new sum equals its target.
     """
     weights = np.asarray(weights, dtype=complex)
     inputs = np.asarray(inputs, dtype=complex)
-    if weights.shape != inputs.shape or weights.ndim != 1:
-        raise ValidationError("weights and inputs must be matching vectors")
+    errors = np.asarray(errors, dtype=complex)
+    shape = errors.shape + inputs.shape
+    if inputs.ndim != 1 or errors.ndim != 1 or weights.shape != shape:
+        raise ValidationError("weights must be an (errors, inputs) matrix")
     if np.any(inputs == 0):
         raise ValidationError("zero input signal has no inverse")
-    z = np.dot(weights, inputs)
-    e = target - z
-    return weights + (e / inputs.size) / inputs
+    return weights + (errors[:, None] / inputs.size) / inputs[None, :]
 
 
-def _pair_errors(net, signals, targets):
+def _pair_errors(net, outputs, targets):
     """Backward phase: per-layer neuron errors from pre-update weights.
 
     The output error is the vector from the activated output signal to the
@@ -173,11 +158,7 @@ def _pair_errors(net, signals, targets):
     linearly separable gates no weight vector satisfies all four sum
     equations at once, so training would circle forever without settling.
     """
-    _, _, acts = signals[-1]
-    out_errors = np.array(
-        [nearest_target(spec, a) - a for spec, a in zip(targets, acts)]
-    )
-    errors = [out_errors]
+    errors = [np.array([nearest_target(t, a) - a for t, a in zip(targets, outputs)])]
     for k in range(len(net.weights) - 1, 0, -1):
         w = net.weights[k]
         carriers = w[:, : net.weights[k - 1].shape[0]]
@@ -189,21 +170,20 @@ def _pair_errors(net, signals, targets):
 
 
 def _apply_pair(net, x, targets):
-    """Correct every layer in order, refreshing the fed signals after each
-    layer so later corrections see the weights already moved. Returns the
-    output signals from before the update."""
-    signals = _layer_signals(net, x)
-    errors = _pair_errors(net, signals, targets)
-    current = np.asarray(x, dtype=complex)
-    last = len(net.weights) - 1
-    for k, w in enumerate(net.weights):
-        fed = _with_bias(net, current)
-        if np.any(fed == 0):
-            raise ValidationError("zero input signal has no inverse")
-        w += (errors[k][:, None] / w.shape[1]) / fed[None, :]
-        if k < last:
-            current = activation(w @ fed)
-    return signals[-1][2]
+    """Correct every layer in order, each fed by the corrected layers below
+    it, and write the net only once all are corrected, so a pair that
+    degenerates part-way leaves it untouched. Returns the outputs from
+    before the update."""
+    outputs = forward(net, x)
+    errors = _pair_errors(net, outputs, targets)
+    fed = _with_bias(np.asarray(x, dtype=complex))
+    corrected = []
+    for w, e in zip(net.weights, errors):
+        if corrected:
+            fed = _with_bias(activation(corrected[-1] @ fed))
+        corrected.append(correct_layer(w, fed, e))
+    net.weights = corrected
+    return outputs
 
 
 class EpochResult(NamedTuple):
@@ -225,20 +205,18 @@ def train_epoch(net, pairs, readout=unmap) -> EpochResult:
     n_components = 0
     skipped = 0
     for x, targets in pairs:
-        saved = [w.copy() for w in net.weights]
         try:
             outs = _apply_pair(net, x, targets)
-            pair_sq = 0.0
-            for z, spec in zip(outs, targets):
-                want = spec[0] if isinstance(spec, tuple) else spec
-                pair_sq += (readout(z) - readout(want)) ** 2
-            sq_sum += pair_sq
-            n_components += len(targets)
         except DegenerateActivationError as exc:
-            for w, old in zip(net.weights, saved):
-                w[...] = old
             warnings.warn(f"skipping degenerate pair: {exc}")
             skipped += 1
+            continue
+        pair_sq = 0.0
+        for z, spec in zip(outs, targets):
+            want = spec[0] if isinstance(spec, tuple) else spec
+            pair_sq += (readout(z) - readout(want)) ** 2
+        sq_sum += pair_sq
+        n_components += len(targets)
     if n_components == 0:
         return EpochResult(net, 1.0, skipped)
     return EpochResult(net, float(np.sqrt(sq_sum / n_components)), skipped)

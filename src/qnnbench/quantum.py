@@ -36,7 +36,6 @@ ZZ = np.kron(PAULI_Z, PAULI_Z)
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-NORM_TOL = 1e-9
 
 DEFAULT_TOTAL_TIME = 1.0
 
@@ -64,7 +63,7 @@ class PureState:
         if any(v < 0 for v in amps):
             raise ValidationError("amplitudes must be nonnegative")
         norm_sq = sum(v * v for v in amps)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > TRACE_TOL:
             raise ValidationError(
                 f"state not normalized: |amplitudes|^2 = {norm_sq!r}"
             )

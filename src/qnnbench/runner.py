@@ -122,6 +122,8 @@ class ExperimentConfig:
                 raise ValidationError("seeds must be integers")
             if seed < 0:
                 raise ValidationError("seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError("seeds must not repeat")
         if self.train_size is not None:
             if self.experiment == "gates":
                 raise ValidationError("gates has a fixed 4-row training set")

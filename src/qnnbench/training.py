@@ -15,7 +15,8 @@ from .errors import ValidationError
 def check_stop_rule(rms_target, max_epochs) -> None:
     if not 0 < rms_target < 1:
         raise ValidationError("rms_target must lie in (0, 1)")
-    if not isinstance(max_epochs, numbers.Integral) or max_epochs < 1:
+    integer = isinstance(max_epochs, numbers.Integral)
+    if not integer or isinstance(max_epochs, bool) or max_epochs < 1:
         raise ValidationError("max_epochs must be an integer >= 1")
 
 

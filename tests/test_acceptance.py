@@ -364,7 +364,8 @@ def test_complex_output_correction_is_exact():
         weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         inputs = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.2, 2.0, n)
         target = complex(rng.standard_normal(), rng.standard_normal())
-        updated = cvnn.update_output_neuron(weights, inputs, target)
+        errors = [target - np.dot(weights, inputs)]
+        updated = cvnn.correct_layer(weights[None, :], inputs, errors)[0]
         worst = max(worst, abs(np.dot(updated, inputs) - target))
     check(
         worst <= 1e-10,

@@ -1,7 +1,8 @@
-"""The benchmark's layer hooks (bench/workload.py) wrap names on the live
-qnnbench modules. This test installs them on a snapshot of those modules,
-so that deleting or renaming a name the benchmark wraps fails here rather
-than in `bench/run.py --trace 1`."""
+"""The benchmark (bench/workload.py) wraps names on the live qnnbench modules
+and checks every table it times. These tests install its hooks on a snapshot
+of those modules and run its table checks on short runs, so that deleting or
+renaming a name the benchmark wraps, or a row the benchmark would count as
+failed, fails here rather than in `bench/run.py`."""
 
 import importlib.util
 import inspect
@@ -30,28 +31,42 @@ def _functions(module):
     return {k: v for k, v in vars(module).items() if inspect.isfunction(v)}
 
 
+def _library():
+    return {"np": np, **{m.__name__.rsplit(".", 1)[1]: m for m in MODULES}}
+
+
+def _undo_on_exit(patch):
+    """Record every module function on patch, so that whatever wraps them
+    inside the patch context is undone when it exits."""
+    for module in MODULES:
+        for name, fn in _functions(module).items():
+            patch.setattr(module, name, fn)
+
+
+def _short_config(experiment, train_size=None):
+    return runner.ExperimentConfig(
+        experiment,
+        seeds=(3,),
+        train_size=train_size,
+        net_params={net: {"max_epochs": 2} for net in runner.NETS},
+    )
+
+
 def test_bench_hooks_wrap_live_names_and_are_undone(monkeypatch):
     spans = _load("spans", monkeypatch)
     workload = _load("workload", monkeypatch)
-    lib = {"np": np, **{m.__name__.rsplit(".", 1)[1]: m for m in MODULES}}
+    lib = _library()
     before = {m: _functions(m) for m in MODULES}
     from_array = quantum.HamiltonianSchedule.__dict__["from_array"]
     with pytest.MonkeyPatch.context() as patch:
-        for module, functions in before.items():
-            for name, fn in functions.items():
-                patch.setattr(module, name, fn)
+        _undo_on_exit(patch)
         patch.setattr(quantum.HamiltonianSchedule, "from_array", from_array)
         observed = []
         workload.observe_training(lib, observed)
         recorder = spans.SpanRecorder()
         workload.install_spans(lib, recorder)
 
-        config = runner.ExperimentConfig(
-            "entanglement",
-            seeds=(3,),
-            net_params={net: {"max_epochs": 2} for net in runner.NETS},
-        )
-        runner.run_experiment(config)
+        runner.run_experiment(_short_config("entanglement"))
         assert [(net, res.epochs_used) for net, _, res in observed] == [
             ("rvnn", 2),
             ("cvnn", 2),
@@ -78,3 +93,27 @@ def test_bench_hooks_wrap_live_names_and_are_undone(monkeypatch):
             assert summary[name]["calls"] >= 1
     assert {m: _functions(m) for m in MODULES} == before
     assert quantum.HamiltonianSchedule.__dict__["from_array"] is from_array
+
+
+@pytest.mark.parametrize(
+    "experiment, train_size",
+    [("gates", None), ("iris", 12), ("entanglement", None)],
+    ids=["gates", "iris", "entanglement"],
+)
+def test_bench_table_checks_pass_on_short_runs(monkeypatch, experiment, train_size):
+    _load("spans", monkeypatch)
+    workload = _load("workload", monkeypatch)
+    lib = _library()
+    config = _short_config(experiment, train_size)
+    expected, qnn_sets = workload.build_datasets(lib, config)
+    observed = []
+    with pytest.MonkeyPatch.context() as patch:
+        _undo_on_exit(patch)
+        workload.observe_training(lib, observed)
+        text, _ = workload.run_table(lib, config)
+    rows, failed, problems, _ = workload.check_table(
+        lib, config, text, observed, expected, qnn_sets
+    )
+    assert rows and rows.keys() == expected.keys()
+    assert failed == {}
+    assert problems == []

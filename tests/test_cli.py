@@ -192,6 +192,13 @@ class TestMain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_repeated_seed_exits_one(self, capsys):
+        code = main(
+            ["entanglement", "--nets", "qnn", "--seeds", "1,1", "--epochs", "2"]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_config_file_exits_one(self, capsys):
         code = main(["gates", "--config", "/nonexistent/config.json"])
         assert code == 1

@@ -89,20 +89,20 @@ def test_activation_preserves_argument():
 # ---------------------------------------------------------------------------
 
 def test_forward_single_neuron_sum():
-    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j]])], use_bias=False)
+    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j, 0j]])])
     out = cvnn.forward(net, np.array([1.0 + 0j, 1.0j]))
     assert out[0] == pytest.approx(cmath.exp(1j * math.pi / 4))
 
 
 def test_forward_positive_real_product():
-    net = cvnn.ComplexLayerStack([np.array([[2.0 - 1.0j]])], use_bias=False)
+    net = cvnn.ComplexLayerStack([np.array([[2.0 - 1.0j, 0j]])])
     x = np.array([(2.0 + 1.0j) / 5.0])  # w*x = 1
     assert cvnn.forward(net, x)[0] == pytest.approx(1.0 + 0.0j)
 
 
 def test_forward_two_layer_unit_weights():
     net = cvnn.ComplexLayerStack(
-        [np.array([[1.0 + 0j]]), np.array([[1.0 + 0j]])], use_bias=False
+        [np.array([[1.0 + 0j, 0j]]), np.array([[1.0 + 0j, 0j]])]
     )
     assert cvnn.forward(net, np.array([1.0 + 0j]))[0] == pytest.approx(1.0 + 0.0j)
 
@@ -117,7 +117,7 @@ def test_forward_outputs_on_unit_circle():
 
 
 def test_forward_degenerate_sum_raises():
-    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j]])], use_bias=False)
+    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j, 0j]])])
     with pytest.raises(DegenerateActivationError):
         cvnn.forward(net, np.array([1.0 + 0j, -1.0 + 0j]))
 
@@ -125,28 +125,31 @@ def test_forward_degenerate_sum_raises():
 def test_stack_validation():
     with pytest.raises(ValidationError):
         cvnn.ComplexLayerStack([])
+    # Layer 1 needs 2 + 1 columns: the hidden width plus the bias column.
     with pytest.raises(ValidationError):
         cvnn.ComplexLayerStack(
-            [np.ones((2, 2), dtype=complex), np.ones((1, 4), dtype=complex)],
-            use_bias=False,
+            [np.ones((2, 3), dtype=complex), np.ones((1, 2), dtype=complex)]
         )
 
 
 # ---------------------------------------------------------------------------
-# Output-neuron correction
+# Layer correction
 # ---------------------------------------------------------------------------
+
+def correct_sum(w, x, t):
+    """One neuron with weights w corrected toward the raw sum t."""
+    return cvnn.correct_layer(w[None, :], x, [t - np.dot(w, x)])[0]
+
 
 def test_update_zero_error_is_identity():
     w = np.array([0.3 + 0.2j, -0.5 + 1j])
     x = np.array([1.0 + 0j, 1.0j])
     t = np.dot(w, x)
-    assert np.allclose(cvnn.update_output_neuron(w, x, t), w)
+    assert np.allclose(correct_sum(w, x, t), w)
 
 
 def test_update_single_weight_reference():
-    new = cvnn.update_output_neuron(
-        np.array([1.0 + 0j]), np.array([1.0 + 0j]), 1.0j
-    )
+    new = correct_sum(np.array([1.0 + 0j]), np.array([1.0 + 0j]), 1.0j)
     assert new[0] == pytest.approx(1.0j)
 
 
@@ -154,7 +157,7 @@ def test_update_two_weight_reference():
     w = np.array([1.0 + 0j, 1.0 + 0j])
     x = np.array([1.0 + 0j, 1.0j])
     t = 0.5 * np.dot(w, x)
-    new = cvnn.update_output_neuron(w, x, t)
+    new = correct_sum(w, x, t)
     assert np.dot(new, x) == pytest.approx(t, abs=1e-12)
 
 
@@ -166,16 +169,27 @@ def test_update_is_exact_correction():
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.2, 2.0, n)
         t = complex(rng.standard_normal(), rng.standard_normal())
-        new = cvnn.update_output_neuron(w, x, t)
+        new = correct_sum(w, x, t)
         worst = max(worst, abs(np.dot(new, x) - t))
     assert worst < 1e-10
 
 
 def test_update_rejects_zero_input():
     with pytest.raises(ValidationError):
-        cvnn.update_output_neuron(
-            np.array([1.0 + 0j, 1.0 + 0j]), np.array([0j, 1.0 + 0j]), 1.0j
-        )
+        correct_sum(np.array([1.0 + 0j, 1.0 + 0j]), np.array([0j, 1.0 + 0j]), 1.0j)
+
+
+def test_correct_layer_rejects_mismatched_shapes():
+    w = np.ones((2, 3), dtype=complex)
+    x = np.ones(3, dtype=complex)
+    for weights, inputs, errors in (
+        (w, x, np.ones(3)),
+        (w, x[:2], np.ones(2)),
+        (w[0], x, np.ones(1)),
+        (w, x, 1.0),
+    ):
+        with pytest.raises(ValidationError):
+            cvnn.correct_layer(weights, inputs, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +256,7 @@ def test_already_correct_net_stops_immediately():
 
 
 def test_degenerate_pair_is_skipped_and_counted():
-    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j]])], use_bias=False)
+    net = cvnn.ComplexLayerStack([np.array([[1.0 + 0j, 1.0 + 0j, 0j]])])
     bad = (np.array([1.0 + 0j, -1.0 + 0j]), [cvnn.map_scalar(1)])
     before = net.weights[0].copy()
     with pytest.warns(UserWarning):
@@ -256,6 +270,21 @@ def test_degenerate_pair_is_skipped_and_counted():
     assert not result.converged
     assert result.skipped == 3
     assert result.rms_history == [1.0, 1.0, 1.0]
+
+
+def test_pair_degenerating_after_a_corrected_layer_leaves_the_net_untouched():
+    # Correcting layer 0 moves the hidden sum from 1 to exactly 0, so the
+    # pair degenerates only after a layer has already been corrected.
+    net = cvnn.ComplexLayerStack(
+        [np.array([[0.5 + 0j, 0.5 + 0j]]), np.array([[1.0 + 0j, 0j]])]
+    )
+    before = [w.copy() for w in net.weights]
+    with pytest.warns(UserWarning):
+        _, rms, skipped = cvnn.train_epoch(net, [(np.array([1.0 + 0j]), [-1.0 + 0j])])
+    assert skipped == 1
+    assert rms == 1.0
+    for w, old in zip(net.weights, before):
+        assert w.tobytes() == old.tobytes()
 
 
 def test_training_is_deterministic_per_seed():

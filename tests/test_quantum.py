@@ -67,6 +67,13 @@ def test_pure_state_rejects_unnormalized():
         PureState(1.0, 1.0, 0.0, 0.0)
 
 
+def test_pure_state_norm_is_held_to_the_density_trace_tolerance():
+    # A squared norm off by 5e-10 would make a density matrix whose trace
+    # DensityMatrix rejects, so the state itself is rejected.
+    with pytest.raises(ValidationError):
+        PureState(math.sqrt(1 + 5e-10), 0.0, 0.0, 0.0)
+
+
 def test_pure_state_rejects_negative_amplitude():
     with pytest.raises(ValidationError):
         PureState(-1.0, 0.0, 0.0, 0.0)

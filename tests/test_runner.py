@@ -37,6 +37,8 @@ class TestConfig:
             ExperimentConfig(experiment="gates", nets=("qnn", "qnn"))
         with pytest.raises(ValidationError):
             ExperimentConfig(experiment="gates", seeds=())
+        with pytest.raises(ValidationError):
+            ExperimentConfig(experiment="gates", seeds=(1, 1))
 
     def test_rejects_bad_seeds(self):
         with pytest.raises(ValidationError):

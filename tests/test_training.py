@@ -52,6 +52,7 @@ REFERENCE_EPOCHS = 12
         (1.5, 10),
         (0.01, 0),
         (0.01, 2.5),
+        (0.01, True),
     ],
 )
 def test_stop_rule_arguments_are_validated(train, rms_target, max_epochs):
