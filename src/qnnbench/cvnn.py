@@ -201,6 +201,12 @@ def train_epoch(net, pairs, readout=unmap) -> EpochResult:
     """
     if not pairs:
         raise ValidationError("cannot train on an empty pair list")
+    n_in, n_out = net.weights[0].shape[1] - 1, net.weights[-1].shape[0]
+    for k, (x, targets) in enumerate(pairs):
+        if np.asarray(x).shape != (n_in,) or len(targets) != n_out:
+            raise ValidationError(
+                f"pair {k}: expected input width {n_in} and {n_out} target specs"
+            )
     sq_sum = 0.0
     n_components = 0
     skipped = 0
@@ -231,13 +237,13 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
-    skipped = 0
-
-    def epoch():
-        nonlocal skipped
-        _, rms, s = train_epoch(net, pairs, readout)
-        skipped += s
-        return rms
-
-    used, converged, history = run_epochs(epoch, rms_target, max_epochs)
-    return TrainResult(net, used, converged, history, skipped)
+    """Run epochs under the shared stop rule of qnnbench.training; the
+    training state is the weights. skipped totals the per-epoch skip
+    counts over every epoch the run reports."""
+    used, converged, history, skips = run_epochs(
+        lambda: train_epoch(net, pairs, readout)[1:],
+        lambda: b"".join([w.tobytes() for w in net.weights]),
+        rms_target,
+        max_epochs,
+    )
+    return TrainResult(net, used, converged, history, sum(skips))

@@ -224,7 +224,13 @@ def train(
             passed = np.flatnonzero(losses <= loss - ARMIJO_C1 * rates * slope)
             if passed.size:
                 params, loss = trials[passed[0]], losses[passed[0]]
-        return float(np.sqrt(loss))
+        return (float(np.sqrt(loss)),)
 
-    run = run_epochs(epoch, config.rms_target, config.max_epochs)
+    # The carried loss is state too: the Armijo test compares against it.
+    run = run_epochs(
+        epoch,
+        lambda: params.tobytes() + loss.tobytes(),
+        config.rms_target,
+        config.max_epochs,
+    )
     return TrainResult(HamiltonianSchedule.from_array(params, total_time), *run)

@@ -121,14 +121,21 @@ def batch_gradients(net: RealLayerStack, pairs: Sequence[Pair]):
 
 
 def train_epoch(net: RealLayerStack, pairs: Sequence[Pair]):
-    """One in-order pass; returns the net and the epoch RMS as a fraction."""
+    """One in-order pass; returns the net and the epoch RMS as a fraction.
+    Every pair's widths are checked against the net before any update."""
     if not pairs:
         raise ValidationError("cannot train on an empty pair list")
+    n_in, n_out = net.weights[0].shape[1], net.weights[-1].shape[0]
+    data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
+    for k, (x, target) in enumerate(data):
+        if x.shape != (n_in,) or target.shape != (n_out,):
+            raise ValidationError(
+                f"pair {k}: expected input width {n_in} and target width {n_out}"
+            )
     lr = net.learning_rate
     sq_sum = 0.0
     n_components = 0
-    for x, t in pairs:
-        target = np.asarray(t, dtype=float)
+    for x, target in data:
         gw, gb, out = pair_gradients(net, x, target)
         sq_sum += float(np.sum((out - target) ** 2))
         n_components += target.size
@@ -147,6 +154,12 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
-    """Run epochs under the shared stop rule of qnnbench.training."""
-    run = run_epochs(lambda: train_epoch(net, pairs)[1], rms_target, max_epochs)
+    """Run epochs under the shared stop rule of qnnbench.training; the
+    training state is the weights and biases."""
+    run = run_epochs(
+        lambda: train_epoch(net, pairs)[1:],
+        lambda: b"".join([p.tobytes() for p in net.weights + net.biases]),
+        rms_target,
+        max_epochs,
+    )
     return TrainResult(net, *run)

@@ -4,8 +4,10 @@ One test per shipped guarantee. Each prints a single [PASS]/[FAIL] line
 carrying the measured numbers next to the tolerance they are held to; run
 `pytest tests/test_acceptance.py -v -s` to see the lines for passing tests
 too. The heavy benchmark runs are module-scoped fixtures shared across
-tests, so the file costs a few minutes of wall time, dominated by the
-million-epoch real-network parity-gate trials.
+tests. The million-epoch real-network parity-gate trials settle into a
+cycle within about 1,000 epochs, which training.run_epochs skips ahead
+through, so the file costs about a minute of wall time, most of it in
+the iris and witness runs.
 """
 
 import math
@@ -67,8 +69,9 @@ def gates_full():
 def gates_five():
     # The 20,000-epoch cap on the real net sits far above where it converges
     # on the linearly separable gates (medians land near 10,000), so the
-    # medians are unaffected; it only keeps the five-seed sweep from spending
-    # minutes inside parity trials that can never converge.
+    # medians are unaffected. It caps the epochs the parity trials report;
+    # training.run_epochs runs only about 1,000 of them either way, since
+    # those trials cycle and cannot converge.
     config = ExperimentConfig(
         experiment="gates",
         seeds=(0, 1, 2, 3, 4),

@@ -179,6 +179,21 @@ class TestMain:
         assert code == 0
         assert out.startswith("## entanglement:4")
 
+    def test_parity_rvnn_rows_report_the_default_million_epochs(self, capsys):
+        # The single-layer real net cycles on XOR and XNOR well before its
+        # 1,000,000-epoch default budget; the rows still report all of it.
+        code = main(["gates", "--nets", "rvnn", "--seeds", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        columns = lines[0].split(",")
+        rows = {}
+        for line in lines[1:]:
+            row = dict(zip(columns, line.split(",")))
+            rows[row["experiment"]] = row
+        for gate in ("gates:XOR", "gates:XNOR"):
+            assert rows[gate]["epochs_used"] == "1000000"
+            assert rows[gate]["converged"] == "false"
+
     def test_identical_invocations_emit_identical_bytes(self, capsys):
         argv = ["entanglement", "--nets", "qnn", "--seeds", "0,1", "--epochs", "40"]
         main(argv)

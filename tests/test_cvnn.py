@@ -287,6 +287,26 @@ def test_pair_degenerating_after_a_corrected_layer_leaves_the_net_untouched():
         assert w.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize(
+    "x, targets",
+    [
+        # A second target would be zipped away yet counted in the RMS.
+        ([1.0 + 0j, 1.0 + 0j], [1.0 + 0j, -1.0 + 0j]),
+        ([1.0 + 0j, 1.0 + 0j], []),
+        ([1.0 + 0j, 1.0 + 0j, 1.0 + 0j], [1.0 + 0j]),
+        ([1.0 + 0j], [1.0 + 0j]),
+    ],
+    ids=["wide-target", "no-target", "wide-input", "narrow-input"],
+)
+def test_pair_widths_are_checked_before_any_update(x, targets):
+    net = cvnn.random_stack((2, 1), np.random.default_rng(4))
+    before = net.weights[0].copy()
+    good = gate_pairs([0, 0, 0, 1])[1]
+    with pytest.raises(ValidationError):
+        cvnn.train_epoch(net, [good, (np.array(x), targets)])
+    assert net.weights[0].tobytes() == before.tobytes()
+
+
 def test_training_is_deterministic_per_seed():
     histories = []
     for _ in range(2):

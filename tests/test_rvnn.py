@@ -137,6 +137,27 @@ def test_threshold_argument_validation():
         rvnn.train_epoch(net, [])
 
 
+@pytest.mark.parametrize(
+    "sizes, x, t",
+    [
+        # One target for two outputs would broadcast into both.
+        ((2, 2), [0.0, 1.0], [1.0]),
+        ((2, 1), [0.0, 1.0, 1.0], [1.0]),
+        ((2, 1), [0.0, 1.0], [1.0, 0.0]),
+        ((2, 1), [0.0, 1.0], 1.0),
+    ],
+    ids=["narrow-target", "wide-input", "wide-target", "scalar-target"],
+)
+def test_pair_widths_are_checked_before_any_update(sizes, x, t):
+    net = rvnn.random_stack(sizes, 0.5, np.random.default_rng(2))
+    before = [p.copy() for p in net.weights + net.biases]
+    good = (np.zeros(sizes[0]), np.full(sizes[-1], 0.5))
+    with pytest.raises(ValidationError):
+        rvnn.train_epoch(net, [good, (np.array(x), np.array(t))])
+    for p, old in zip(net.weights + net.biases, before):
+        assert p.tobytes() == old.tobytes()
+
+
 def test_training_is_deterministic_per_seed():
     histories = []
     for _ in range(2):
