@@ -16,6 +16,7 @@ toward whichever candidate is nearest, and doubled_angle_readout recovers the
 class from the squared output. Multi-candidate targets are what let a single
 layer separate parity-style tasks that the half-turn encoding cannot.
 
+train_to_threshold, the one way to train, checks the pairs once, up front.
 Epoch RMS is measured on the unmapped real outputs as pairs are visited,
 before each pair's own update, and is returned as a fraction in [0, 1].
 Epochs repeat under the shared stop rule of qnnbench.training.
@@ -186,48 +187,6 @@ def _apply_pair(net, x, targets):
     return outputs
 
 
-class EpochResult(NamedTuple):
-    net: ComplexLayerStack
-    rms: float
-    skipped: int
-
-
-def train_epoch(net, pairs, readout=unmap) -> EpochResult:
-    """One in-order pass. Pairs whose forward or update pass degenerates are
-    skipped with a warning and counted instead of aborting the epoch.
-
-    readout turns each complex output into the real value entering the RMS;
-    the matching real target is recovered by reading the target spec itself.
-    """
-    if not pairs:
-        raise ValidationError("cannot train on an empty pair list")
-    n_in, n_out = net.weights[0].shape[1] - 1, net.weights[-1].shape[0]
-    for k, (x, targets) in enumerate(pairs):
-        if np.asarray(x).shape != (n_in,) or len(targets) != n_out:
-            raise ValidationError(
-                f"pair {k}: expected input width {n_in} and {n_out} target specs"
-            )
-    sq_sum = 0.0
-    n_components = 0
-    skipped = 0
-    for x, targets in pairs:
-        try:
-            outs = _apply_pair(net, x, targets)
-        except DegenerateActivationError as exc:
-            warnings.warn(f"skipping degenerate pair: {exc}")
-            skipped += 1
-            continue
-        pair_sq = 0.0
-        for z, spec in zip(outs, targets):
-            want = spec[0] if isinstance(spec, tuple) else spec
-            pair_sq += (readout(z) - readout(want)) ** 2
-        sq_sum += pair_sq
-        n_components += len(targets)
-    if n_components == 0:
-        return EpochResult(net, 1.0, skipped)
-    return EpochResult(net, float(np.sqrt(sq_sum / n_components)), skipped)
-
-
 class TrainResult(NamedTuple):
     net: ComplexLayerStack
     epochs_used: int
@@ -237,11 +196,51 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
-    """Run epochs under the shared stop rule of qnnbench.training; the
-    training state is the weights. skipped totals the per-epoch skip
-    counts over every epoch the run reports."""
+    """Train under the shared stop rule of qnnbench.training; the training
+    state is the weights. Before any update the pairs are checked once
+    (widths, finite values, nonzero inputs, whose inverses the update takes)
+    and each target's real value is read once through readout, from the
+    spec's first candidate. Degenerate pairs are skipped with a warning and
+    counted; an all-skipped epoch reports RMS 1.0, and skipped totals the
+    skips of every epoch the run reports."""
+    if not pairs:
+        raise ValidationError("cannot train on an empty pair list")
+    n_in, n_out = net.sizes[0], net.sizes[-1]
+    data = []
+    for k, (x, targets) in enumerate(pairs):
+        x = np.asarray(x, dtype=complex)
+        if x.shape != (n_in,) or len(targets) != n_out:
+            raise ValidationError(
+                f"pair {k}: expected input width {n_in} and {n_out} target specs"
+            )
+        if not all(np.all(np.isfinite(v)) for v in (x, *targets)):
+            raise ValidationError(f"pair {k}: non-finite input or target")
+        if np.any(x == 0):
+            raise ValidationError(f"pair {k}: zero input signal has no inverse")
+        wants = [readout(t[0] if isinstance(t, tuple) else t) for t in targets]
+        data.append((x, targets, wants))
+
+    def epoch():
+        sq_sum = 0.0
+        skipped = 0
+        for x, targets, wants in data:
+            try:
+                outs = _apply_pair(net, x, targets)
+            except DegenerateActivationError as exc:
+                warnings.warn(f"skipping degenerate pair: {exc}")
+                skipped += 1
+                continue
+            pair_sq = 0.0
+            for z, want in zip(outs, wants):
+                pair_sq += (readout(z) - want) ** 2
+            sq_sum += pair_sq
+        n_components = n_out * (len(data) - skipped)
+        if n_components == 0:
+            return 1.0, skipped
+        return float(np.sqrt(sq_sum / n_components)), skipped
+
     used, converged, history, skips = run_epochs(
-        lambda: train_epoch(net, pairs, readout)[1:],
+        epoch,
         lambda: b"".join([w.tobytes() for w in net.weights]),
         rms_target,
         max_epochs,

@@ -44,7 +44,6 @@ from .quantum import (
     PureState,
     ZZ,
     propagators,
-    pure_to_density,
     schedule_propagator,
 )
 from .training import check_stop_rule, run_epochs
@@ -121,7 +120,11 @@ def random_schedule(n_slices: int, total_time: float, rng) -> HamiltonianSchedul
 
 
 def states_to_rhos(states: Sequence[PureState]) -> np.ndarray:
-    return np.stack([pure_to_density(s).entries for s in states])
+    """|psi><psi| of each validated PureState, (n, 4, 4): Hermitian, unit
+    trace and PSD by construction, so unlike pure_to_density, whose output it
+    matches bit for bit, it skips the DensityMatrix check."""
+    k = np.array([s.ket() for s in states])
+    return k[:, :, None] * k[:, None, :].conj()
 
 
 def batch_outputs(rhos, schedule, readout: Readout = CORRELATION) -> np.ndarray:
@@ -200,6 +203,8 @@ def train(
         raise ValidationError("cannot train on an empty set")
     rhos = states_to_rhos([s for s, _ in trainset])
     targets = np.array([t for _, t in trainset], dtype=float)
+    if not np.all(np.isfinite(targets)):
+        raise ValidationError("training targets must be finite")
     params = initial_schedule.as_array()
     total_time = initial_schedule.total_time
     loss = _losses(params[None], total_time, rhos, targets, readout)[0]

@@ -36,6 +36,7 @@ from .reporting import (
     onehot_rule,
     rms_percent,
 )
+from .training import is_count
 
 EXPERIMENTS = ("gates", "iris", "entanglement")
 
@@ -69,17 +70,13 @@ DEFAULT_TRAIN_SIZE = {"iris": 75, "entanglement": 4}
 WITNESS_TEST_SIZE = 25
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _valid_param(key: str, value) -> bool:
     """Whether a net_params value has its default's type; the nets check the
     ranges of the real-valued ones."""
     if key == "backtracking":
         return isinstance(value, bool)
     if key in ("hidden", "max_epochs", "slices"):
-        return (key == "hidden" and value is None) or (_is_count(value) and value >= 1)
+        return (key == "hidden" and value is None) or (is_count(value) and value >= 1)
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -118,7 +115,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
         for seed in self.seeds:
-            if not _is_count(seed):
+            if not is_count(seed):
                 raise ValidationError("seeds must be integers")
             if seed < 0:
                 raise ValidationError("seeds must be >= 0")
@@ -127,7 +124,7 @@ class ExperimentConfig:
         if self.train_size is not None:
             if self.experiment == "gates":
                 raise ValidationError("gates has a fixed 4-row training set")
-            if not _is_count(self.train_size):
+            if not is_count(self.train_size):
                 raise ValidationError("train_size must be an integer")
             if self.train_size < 1:
                 raise ValidationError("train_size must be >= 1")

@@ -1,10 +1,11 @@
 """Real-valued feed-forward network with sigmoid units and per-pair gradient descent.
 
 The network is a plain layer stack: every layer computes sigmoid(W x + b).
-Training visits pairs in order and applies one gradient step per pair, and the
-epoch error is accumulated from each forward pass before its update, so a zero
-learning rate reports exactly the static error of the starting weights. Epochs
-repeat under the stop rule shared by all three nets (qnnbench.training).
+train_to_threshold, the one way to train, checks the pairs once, up front;
+each epoch then applies one gradient step per pair, in order, accumulating
+the epoch error from each forward pass before its update, so a zero learning
+rate reports exactly the static error of the starting weights. Epochs repeat
+under the stop rule shared by all three nets (qnnbench.training).
 
 All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
@@ -22,12 +23,8 @@ Pair = Tuple[np.ndarray, np.ndarray]
 
 
 def sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -120,32 +117,6 @@ def batch_gradients(net: RealLayerStack, pairs: Sequence[Pair]):
     return grad_w, grad_b
 
 
-def train_epoch(net: RealLayerStack, pairs: Sequence[Pair]):
-    """One in-order pass; returns the net and the epoch RMS as a fraction.
-    Every pair's widths are checked against the net before any update."""
-    if not pairs:
-        raise ValidationError("cannot train on an empty pair list")
-    n_in, n_out = net.weights[0].shape[1], net.weights[-1].shape[0]
-    data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
-    for k, (x, target) in enumerate(data):
-        if x.shape != (n_in,) or target.shape != (n_out,):
-            raise ValidationError(
-                f"pair {k}: expected input width {n_in} and target width {n_out}"
-            )
-    lr = net.learning_rate
-    sq_sum = 0.0
-    n_components = 0
-    for x, target in data:
-        gw, gb, out = pair_gradients(net, x, target)
-        sq_sum += float(np.sum((out - target) ** 2))
-        n_components += target.size
-        for w, g in zip(net.weights, gw):
-            w -= lr * g
-        for b, g in zip(net.biases, gb):
-            b -= lr * g
-    return net, np.sqrt(sq_sum / n_components)
-
-
 class TrainResult(NamedTuple):
     net: RealLayerStack
     epochs_used: int
@@ -154,12 +125,34 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
-    """Run epochs under the shared stop rule of qnnbench.training; the
-    training state is the weights and biases."""
+    """Train under the shared stop rule of qnnbench.training; the training
+    state is the weights and biases. The pairs are checked and converted to
+    float once, before any update; an epoch is one in-order pass."""
+    if not pairs:
+        raise ValidationError("cannot train on an empty pair list")
+    n_in, n_out = net.sizes[0], net.sizes[-1]
+    data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
+    for k, (x, target) in enumerate(data):
+        if x.shape != (n_in,) or target.shape != (n_out,):
+            raise ValidationError(
+                f"pair {k}: expected input width {n_in} and target width {n_out}"
+            )
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
+            raise ValidationError(f"pair {k}: non-finite input or target")
+    params = net.weights + net.biases
+    lr = net.learning_rate
+    n_components = n_out * len(data)
+
+    def epoch():
+        sq_sum = 0.0
+        for x, target in data:
+            gw, gb, out = pair_gradients(net, x, target)
+            sq_sum += float(np.sum((out - target) ** 2))
+            for p, g in zip(params, gw + gb):
+                p -= lr * g
+        return (np.sqrt(sq_sum / n_components),)
+
     run = run_epochs(
-        lambda: train_epoch(net, pairs)[1:],
-        lambda: b"".join([p.tobytes() for p in net.weights + net.biases]),
-        rms_target,
-        max_epochs,
+        epoch, lambda: b"".join([p.tobytes() for p in params]), rms_target, max_epochs
     )
     return TrainResult(net, *run)

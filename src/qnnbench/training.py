@@ -25,11 +25,15 @@ from typing import Callable, Sequence
 from .errors import ValidationError
 
 
+def is_count(value) -> bool:
+    """Whether value is an integer (Python or numpy), bools excluded."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_stop_rule(rms_target, max_epochs) -> None:
     if not 0 < rms_target < 1:
         raise ValidationError("rms_target must lie in (0, 1)")
-    integer = isinstance(max_epochs, numbers.Integral)
-    if not integer or isinstance(max_epochs, bool) or max_epochs < 1:
+    if not is_count(max_epochs) or max_epochs < 1:
         raise ValidationError("max_epochs must be an integer >= 1")
 
 

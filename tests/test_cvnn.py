@@ -201,7 +201,8 @@ def test_zero_error_pairs_leave_net_unchanged():
     inputs = [x for x, _ in gate_pairs([0, 0, 0, 1])]
     pairs = [(x, [cvnn.forward(net, x)[0]]) for x in inputs]
     before = net.weights[0].copy()
-    _, rms, skipped = cvnn.train_epoch(net, pairs)
+    result = cvnn.train_to_threshold(net, pairs, 0.01, max_epochs=1)
+    rms, skipped = result.rms_history[0], result.skipped
     assert np.array_equal(net.weights[0], before)
     assert rms == pytest.approx(0.0, abs=1e-12)
     assert skipped == 0
@@ -213,7 +214,8 @@ def test_epoch_rms_is_the_error_before_the_update():
     want = cvnn.unmap(targets[0])
     before_error = abs(cvnn.unmap(cvnn.forward(net, x)[0]) - want)
     before = [w.copy() for w in net.weights]
-    _, rms, skipped = cvnn.train_epoch(net, [(x, targets)])
+    result = cvnn.train_to_threshold(net, [(x, targets)], 0.01, max_epochs=1)
+    rms, skipped = result.rms_history[0], result.skipped
     after_error = abs(cvnn.unmap(cvnn.forward(net, x)[0]) - want)
     assert skipped == 0
     assert not any(np.array_equal(w, b) for w, b in zip(net.weights, before))
@@ -260,7 +262,7 @@ def test_degenerate_pair_is_skipped_and_counted():
     bad = (np.array([1.0 + 0j, -1.0 + 0j]), [cvnn.map_scalar(1)])
     before = net.weights[0].copy()
     with pytest.warns(UserWarning):
-        _, _, skipped = cvnn.train_epoch(net, [bad])
+        skipped = cvnn.train_to_threshold(net, [bad], 0.01, max_epochs=1).skipped
     assert skipped == 1
     assert np.array_equal(net.weights[0], before)
     # Since the skip restores the weights, the pair degenerates every epoch;
@@ -280,7 +282,10 @@ def test_pair_degenerating_after_a_corrected_layer_leaves_the_net_untouched():
     )
     before = [w.copy() for w in net.weights]
     with pytest.warns(UserWarning):
-        _, rms, skipped = cvnn.train_epoch(net, [(np.array([1.0 + 0j]), [-1.0 + 0j])])
+        result = cvnn.train_to_threshold(
+            net, [(np.array([1.0 + 0j]), [-1.0 + 0j])], 0.01, max_epochs=1
+        )
+    rms, skipped = result.rms_history[0], result.skipped
     assert skipped == 1
     assert rms == 1.0
     for w, old in zip(net.weights, before):
@@ -295,15 +300,36 @@ def test_pair_degenerating_after_a_corrected_layer_leaves_the_net_untouched():
         ([1.0 + 0j, 1.0 + 0j], []),
         ([1.0 + 0j, 1.0 + 0j, 1.0 + 0j], [1.0 + 0j]),
         ([1.0 + 0j], [1.0 + 0j]),
+        # The update takes the inverse of every input, and the RMS reads
+        # every target back; neither exists at the origin.
+        ([0j, 1.0 + 0j], [1.0 + 0j]),
+        ([1.0 + 0j, 1.0 + 0j], [0j]),
+        # A non-finite value would turn every weight into NaN.
+        ([complex(np.nan), 1.0 + 0j], [1.0 + 0j]),
+        ([1.0 + 0j, complex(np.inf)], [1.0 + 0j]),
+        ([1.0 + 0j, 1.0 + 0j], [complex(np.nan)]),
+        ([1.0 + 0j, 1.0 + 0j], [(1j, complex(np.inf))]),
     ],
-    ids=["wide-target", "no-target", "wide-input", "narrow-input"],
+    ids=[
+        "wide-target",
+        "no-target",
+        "wide-input",
+        "narrow-input",
+        "zero-input",
+        "zero-target",
+        "nan-input",
+        "inf-input",
+        "nan-target",
+        "inf-candidate",
+    ],
 )
 def test_pair_widths_are_checked_before_any_update(x, targets):
     net = cvnn.random_stack((2, 1), np.random.default_rng(4))
     before = net.weights[0].copy()
     good = gate_pairs([0, 0, 0, 1])[1]
+    pairs = [good, (np.array(x), targets)]
     with pytest.raises(ValidationError):
-        cvnn.train_epoch(net, [good, (np.array(x), targets)])
+        cvnn.train_to_threshold(net, pairs, 0.01, max_epochs=1)
     assert net.weights[0].tobytes() == before.tobytes()
 
 
@@ -319,7 +345,7 @@ def test_training_is_deterministic_per_seed():
 def test_threshold_argument_validation():
     net = cvnn.random_stack((2, 1), np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        cvnn.train_epoch(net, [])
+        cvnn.train_to_threshold(net, [], 0.01, max_epochs=1)
 
 
 def test_initial_weights_avoid_origin():

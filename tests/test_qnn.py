@@ -89,6 +89,17 @@ class TestForward:
         assert out == pytest.approx(qnn.CORRELATION.values(rho.entries[None])[0], abs=1e-9)
         assert out == pytest.approx(np.cos(2.0 * t_f) ** 2, abs=1e-9)
 
+    def test_rho_stack_is_the_validated_outer_product_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        basis = [PureState(*row) for row in np.eye(4)]
+        quartet = [p.state for p in tasks.witness_dataset(4, 0)]
+        sampled = [tasks.sample_pure_state(rng) for _ in range(200)]
+        for states in (basis, quartet, sampled):
+            rhos = qnn.states_to_rhos(states)
+            oracle = np.stack([pure_to_density(s).entries for s in states])
+            assert rhos.shape == oracle.shape
+            assert rhos.tobytes() == oracle.tobytes()
+
     def test_batch_outputs_match_single_forward(self):
         rng = np.random.default_rng(3)
         schedule = qnn.random_schedule(4, 1.0, rng)
@@ -385,3 +396,11 @@ class TestValidation:
     def test_basis_projector_rejects_out_of_range_index(self):
         with pytest.raises(ValidationError):
             qnn.basis_projector(4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_train_rejects_non_finite_targets(self, bad):
+        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
+        pairs[2] = (pairs[2][0], bad)
+        config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)
+        with pytest.raises(ValidationError, match="targets must be finite"):
+            qnn.train(pairs, config, zero_schedule())

@@ -77,7 +77,7 @@ def test_zero_rate_epoch_is_a_no_op():
     static_sq = sum(
         float(np.sum((rvnn.forward(net, x) - t) ** 2)) for x, t in pairs
     )
-    _, rms = rvnn.train_epoch(net, pairs)
+    rms = rvnn.train_to_threshold(net, pairs, 0.01, max_epochs=1).rms_history[0]
     assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
     assert rms == pytest.approx(math.sqrt(static_sq / 4))
 
@@ -88,7 +88,7 @@ def test_tiny_rate_reduces_single_pair_loss():
         net = rvnn.random_stack((3, 4, 2), 1e-3, rng)
         pair = (rng.standard_normal(3), rng.uniform(0.1, 0.9, 2))
         before = rvnn.batch_loss(net, [pair])
-        rvnn.train_epoch(net, [pair])
+        rvnn.train_to_threshold(net, [pair], 0.01, max_epochs=1)
         assert rvnn.batch_loss(net, [pair]) <= before
 
 
@@ -98,7 +98,7 @@ def test_epoch_change_scales_with_rate():
     for lr in (1e-4, 1e-5):
         net = rvnn.random_stack((2, 1), lr, np.random.default_rng(3))
         w0 = net.weights[0].copy()
-        rvnn.train_epoch(net, pairs)
+        rvnn.train_to_threshold(net, pairs, 0.01, max_epochs=1)
         deltas.append(np.max(np.abs(net.weights[0] - w0)))
     assert deltas[0] == pytest.approx(10 * deltas[1], rel=1e-2)
 
@@ -134,7 +134,7 @@ def test_converged_net_stops_after_one_epoch():
 def test_threshold_argument_validation():
     net = zeros_stack((2, 1))
     with pytest.raises(ValidationError):
-        rvnn.train_epoch(net, [])
+        rvnn.train_to_threshold(net, [], 0.01, max_epochs=1)
 
 
 @pytest.mark.parametrize(
@@ -145,15 +145,30 @@ def test_threshold_argument_validation():
         ((2, 1), [0.0, 1.0, 1.0], [1.0]),
         ((2, 1), [0.0, 1.0], [1.0, 0.0]),
         ((2, 1), [0.0, 1.0], 1.0),
+        # A non-finite value would turn every weight into NaN.
+        ((2, 1), [np.nan, 1.0], [1.0]),
+        ((2, 1), [0.0, np.inf], [1.0]),
+        ((2, 1), [0.0, 1.0], [np.nan]),
+        ((2, 1), [0.0, 1.0], [-np.inf]),
     ],
-    ids=["narrow-target", "wide-input", "wide-target", "scalar-target"],
+    ids=[
+        "narrow-target",
+        "wide-input",
+        "wide-target",
+        "scalar-target",
+        "nan-input",
+        "inf-input",
+        "nan-target",
+        "inf-target",
+    ],
 )
 def test_pair_widths_are_checked_before_any_update(sizes, x, t):
     net = rvnn.random_stack(sizes, 0.5, np.random.default_rng(2))
     before = [p.copy() for p in net.weights + net.biases]
     good = (np.zeros(sizes[0]), np.full(sizes[-1], 0.5))
+    pairs = [good, (np.array(x), np.array(t))]
     with pytest.raises(ValidationError):
-        rvnn.train_epoch(net, [good, (np.array(x), np.array(t))])
+        rvnn.train_to_threshold(net, pairs, 0.01, max_epochs=1)
     for p, old in zip(net.weights + net.biases, before):
         assert p.tobytes() == old.tobytes()
 

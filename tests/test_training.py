@@ -173,9 +173,9 @@ def assert_same_run(fast, slow):
 # remainder mod 4 for the leftover epochs.
 @pytest.mark.parametrize("max_epochs", [2_000, 2_001, 2_002, 2_003])
 def test_parity_rvnn_trial_matches_the_plain_loop(monkeypatch, max_epochs):
-    calls = counted(monkeypatch, rvnn, "train_epoch")
+    calls = counted(monkeypatch, rvnn, "pair_gradients")
     fast = rvnn_xor_trial(max_epochs)
-    assert calls[0] < max_epochs
+    assert calls[0] < max_epochs * len(XOR.pairs)
     with monkeypatch.context() as patch:
         patch.setattr(rvnn, "run_epochs", plain_epochs)
         slow = rvnn_xor_trial(max_epochs)
@@ -230,9 +230,10 @@ def test_all_degenerate_cvnn_counts_every_skip_of_the_budget():
 
 
 def test_a_frozen_net_runs_one_epoch_of_a_million(monkeypatch):
-    calls = counted(monkeypatch, rvnn, "train_epoch")
+    calls = counted(monkeypatch, rvnn, "pair_gradients")
     net = rvnn.random_stack((2, 1), 0.0, np.random.default_rng(0))
-    result = rvnn.train_to_threshold(net, tasks.gate_encode_rvnn(XOR), 0.01, 1_000_000)
-    assert calls[0] <= 2
+    pairs = tasks.gate_encode_rvnn(XOR)
+    result = rvnn.train_to_threshold(net, pairs, 0.01, 1_000_000)
+    assert calls[0] <= 2 * len(pairs)
     assert (result.epochs_used, result.converged) == (1_000_000, False)
     assert len(result.rms_history) == 1_000_000
