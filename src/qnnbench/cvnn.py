@@ -236,12 +236,12 @@ def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
             sq_sum += pair_sq
         n_components = n_out * (len(data) - skipped)
         if n_components == 0:
-            return 1.0, skipped
-        return float(np.sqrt(sq_sum / n_components)), skipped
+            return [1.0], [skipped]
+        return [float(np.sqrt(sq_sum / n_components))], [skipped]
 
-    used, converged, history, skips = run_epochs(
+    [(used, converged, history, skips)] = run_epochs(
         epoch,
-        lambda: b"".join([w.tobytes() for w in net.weights]),
+        lambda: np.concatenate([w.ravel() for w in net.weights]).view(np.uint64)[None],
         rms_target,
         max_epochs,
     )

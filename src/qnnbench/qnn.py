@@ -148,6 +148,8 @@ def _losses(stack, total_time, rhos, targets, readout) -> np.ndarray:
 
 
 def batch_loss(batch: Sequence[TrainPair], schedule, readout=CORRELATION) -> float:
+    if not batch:
+        raise ValidationError("batch_loss needs a nonempty batch")
     rhos = states_to_rhos([s for s, _ in batch])
     targets = np.array([t for _, t in batch], dtype=float)
     stack = schedule.as_array()[None]
@@ -198,13 +200,16 @@ def train(
     With config.backtracking the step is the first of learning_rate,
     learning_rate / 2, ... that meets the Armijo condition; when none of
     MAX_HALVINGS halvings does, the schedule stays put for that epoch.
-    Without it the first trial step is always taken."""
+    Without it the first trial step is always taken. Targets must lie in
+    [0, 1], the range of every readout."""
     if not trainset:
         raise ValidationError("cannot train on an empty set")
     rhos = states_to_rhos([s for s, _ in trainset])
     targets = np.array([t for _, t in trainset], dtype=float)
     if not np.all(np.isfinite(targets)):
         raise ValidationError("training targets must be finite")
+    if not np.all((targets >= 0.0) & (targets <= 1.0)):
+        raise ValidationError("training targets must lie in the readout's [0, 1]")
     params = initial_schedule.as_array()
     total_time = initial_schedule.total_time
     loss = _losses(params[None], total_time, rhos, targets, readout)[0]
@@ -229,12 +234,12 @@ def train(
             passed = np.flatnonzero(losses <= loss - ARMIJO_C1 * rates * slope)
             if passed.size:
                 params, loss = trials[passed[0]], losses[passed[0]]
-        return (float(np.sqrt(loss)),)
+        return ([float(np.sqrt(loss))],)
 
     # The carried loss is state too: the Armijo test compares against it.
-    run = run_epochs(
+    [run] = run_epochs(
         epoch,
-        lambda: params.tobytes() + loss.tobytes(),
+        lambda: np.append(params, loss).view(np.uint64)[None],
         config.rms_target,
         config.max_epochs,
     )

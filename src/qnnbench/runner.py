@@ -1,11 +1,14 @@
 """Experiment orchestration: configure nets, run seeded trials, score them.
 
 Every experiment runs through one trial pipeline. The task drivers
-(run_gates, run_iris, run_entanglement) only supply TrialData; run_trial
-draws the init RNG, builds and trains the net through its per-net step,
-predicts (n, outputs) real arrays and scores them. The steps look up the
-nets' entry points on their modules at every trial, so a replacement
-installed there is what runs.
+(run_gates, run_iris, run_entanglement) only build a table's trials, each a
+net, a seed and its TrialData; run_trials draws each trial's init RNG,
+builds and trains the nets through their per-net steps, predicts (n,
+outputs) real arrays and scores them. A table's rvnn trials train together
+in one call of rvnn.train_lockstep; each cvnn and qnn trial calls
+cvnn.train_to_threshold or qnn.train on its own. The steps look up these
+entry points on their modules at every call, so a replacement installed
+there is what runs.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
@@ -16,7 +19,8 @@ network initialization, further split by net and task variant.
 
 Wall-clock timing is off by default so that repeated runs of the same
 config serialize to identical bytes; pass timing=True to record how long
-each trial takes to build, train and score its net.
+each trial takes to build, train and score its net (for an rvnn trial, its
+equal share of the lockstep's build and train time).
 """
 
 import numbers
@@ -173,17 +177,32 @@ def _layer_sizes(params, pairs):
     return (n_in, n_out) if params["hidden"] is None else (n_in, params["hidden"], n_out)
 
 
-# Per-net steps: build and train the net, and return the train result with a
-# predict function from encoded inputs to an (n, outputs) real array.
+def _init_stream(net, seed, data):
+    entropy = (seed, ROLE_NET_INIT, NETS.index(net), data.variant)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
-def _rvnn_step(params, data, rng, seed):
-    stack = rvnn.random_stack(
-        _layer_sizes(params, data.train), params["learning_rate"], rng
+
+# Per-net steps: build and train the nets, and return each train result with
+# a predict function from encoded inputs to an (n, outputs) real array. The
+# rvnn step takes a list of (data, rng) trials and trains them in lockstep;
+# the cvnn and qnn steps take one trial.
+
+def _rvnn_predictor(net):
+    return lambda xs: np.array([rvnn.forward(net, x) for x in xs])
+
+
+def _rvnn_steps(params, trials):
+    nets = [
+        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
+        for data, rng in trials
+    ]
+    results = rvnn.train_lockstep(
+        nets,
+        [data.train for data, _ in trials],
+        params["rms_target"],
+        params["max_epochs"],
     )
-    result = rvnn.train_to_threshold(
-        stack, data.train, params["rms_target"], params["max_epochs"]
-    )
-    return result, lambda xs: np.array([rvnn.forward(result.net, x) for x in xs])
+    return [(result, _rvnn_predictor(result.net)) for result in results]
 
 
 def _cvnn_step(params, data, rng, seed):
@@ -213,17 +232,12 @@ def _qnn_step(params, data, rng, seed):
     )[:, None]
 
 
-_NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
+_NET_STEPS = {"cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
-def run_trial(config: ExperimentConfig, net: str, seed: int, data: TrialData):
-    """Build, train, predict and score one net on one task for one seed;
-    returns the trial's RunReport."""
-    params = config.resolved(net)
-    entropy = (seed, ROLE_NET_INIT, NETS.index(net), data.variant)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    start = time.perf_counter() if config.timing else 0.0
-    result, predict = _NET_STEPS[net](params, data, rng, seed)
+def _report(config, params, trial, result, predict, start):
+    """Predict and score one trained trial; its wall time runs from start."""
+    net, seed, data = trial
     train_outs = predict([x for x, _ in data.train])
     train_rms = rms_percent(train_outs, data.train_targets)
     test_rms = accuracy = None
@@ -247,9 +261,38 @@ def run_trial(config: ExperimentConfig, net: str, seed: int, data: TrialData):
     )
 
 
+def run_trials(config: ExperimentConfig, trials) -> List[RunReport]:
+    """Build, train, predict and score (net, seed, data) trials; returns
+    their RunReports in the order given. The rvnn trials are built first
+    and trained in one lockstep call; the cvnn and qnn trials then run one
+    at a time. With timing on, each rvnn trial is charged an equal share
+    of the lockstep's build and train time, plus its own scoring."""
+    reports = [None] * len(trials)
+    lockstep = [i for i, (net, _, _) in enumerate(trials) if net == "rvnn"]
+    if lockstep:
+        params = config.resolved("rvnn")
+        start = time.perf_counter()
+        trained = _rvnn_steps(
+            params,
+            [(trials[i][2], _init_stream(*trials[i])) for i in lockstep],
+        )
+        share = (time.perf_counter() - start) / len(lockstep)
+        for i, (result, predict) in zip(lockstep, trained):
+            start = time.perf_counter() - share
+            reports[i] = _report(config, params, trials[i], result, predict, start)
+    for i, trial in enumerate(trials):
+        net, seed, data = trial
+        if net != "rvnn":
+            params = config.resolved(net)
+            start = time.perf_counter()
+            result, predict = _NET_STEPS[net](params, data, _init_stream(*trial), seed)
+            reports[i] = _report(config, params, trial, result, predict, start)
+    return reports
+
+
 def run_gates(config: ExperimentConfig) -> List[RunReport]:
     """Train every net on all six gates for every seed."""
-    reports = []
+    trials = []
     for gate_idx, name in enumerate(tasks.GATE_NAMES):
         task = tasks.gate_dataset(name)
         targets = [[float(t)] for _, t in task.pairs]
@@ -265,8 +308,16 @@ def run_gates(config: ExperimentConfig) -> List[RunReport]:
                 f"gates:{name}", pairs, targets, readout=readout, variant=gate_idx
             )
             for seed in config.seeds:
-                reports.append(run_trial(config, net, seed, data))
-    return reports
+                trials.append((net, seed, data))
+    return run_trials(config, trials)
+
+
+def _nearest_species_mean(train_species):
+    """The qnn's iris decision rule, from the training predictions: the
+    species whose mean training output is nearest."""
+    return lambda outs: nearest_mean_rule(
+        [float(np.mean(outs[train_species == k])) for k in range(3)]
+    )
 
 
 def run_iris(config: ExperimentConfig) -> List[RunReport]:
@@ -277,7 +328,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
     bounds = tasks.feature_bounds(records)
     n_train = config.train_size or DEFAULT_TRAIN_SIZE["iris"]
     label = f"iris:{n_train}"
-    reports = []
+    trials = []
     for seed in config.seeds:
         train, test = tasks.split_stratified(records, n_train, seed)
         split = train + test
@@ -288,9 +339,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
                 pairs = [tasks.iris_encode_qnn(r) for r in split]
                 targets = [[t] for _, t in pairs]
                 labels = species
-                rule = lambda outs: nearest_mean_rule(
-                    [float(np.mean(outs[species[:n_train] == k])) for k in range(3)]
-                )
+                rule = _nearest_species_mean(species[:n_train])
             else:
                 encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
                 pairs = [encode(r, bounds) for r in split]
@@ -305,15 +354,15 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
                 decision_rule=rule,
                 test_labels=labels[n_train:],
             )
-            reports.append(run_trial(config, net, seed, data))
-    return reports
+            trials.append((net, seed, data))
+    return run_trials(config, trials)
 
 
 def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
     """Witness regression: train on n pure states, test on a fixed 25."""
     n_train = config.train_size or DEFAULT_TRAIN_SIZE["entanglement"]
     label = f"entanglement:{n_train}"
-    reports = []
+    trials = []
     for seed in config.seeds:
         train = tasks.witness_dataset(n_train, seed)
         test = tasks.witness_testset(WITNESS_TEST_SIZE, seed)
@@ -328,8 +377,8 @@ def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
                 pairs = [encode(p) for p in train]
                 test_inputs = [encode(p)[0] for p in test]
             data = TrialData(label, pairs, train_targets, test_inputs, test_targets)
-            reports.append(run_trial(config, net, seed, data))
-    return reports
+            trials.append((net, seed, data))
+    return run_trials(config, trials)
 
 
 def run_experiment(config: ExperimentConfig) -> List[RunReport]:

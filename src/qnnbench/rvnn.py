@@ -1,11 +1,15 @@
 """Real-valued feed-forward network with sigmoid units and per-pair gradient descent.
 
 The network is a plain layer stack: every layer computes sigmoid(W x + b).
-train_to_threshold, the one way to train, checks the pairs once, up front;
-each epoch then applies one gradient step per pair, in order, accumulating
-the epoch error from each forward pass before its update, so a zero learning
-rate reports exactly the static error of the starting weights. Epochs repeat
-under the stop rule shared by all three nets (qnnbench.training).
+train_lockstep, the one way to train, takes several nets of one shape and
+trains each on its own pairs in lockstep; train_to_threshold is its one-net
+case. The pairs are checked once, up front; each epoch then applies one
+gradient step per pair, in order, accumulating the epoch error from each
+forward pass before its update, so a zero learning rate reports exactly the
+static error of the starting weights. Epochs repeat under the stop rule
+shared by all three nets (qnnbench.training). pair_gradients, the same step
+for one net and one pair, stays as the reference the lockstep step is
+tested against.
 
 All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
@@ -24,7 +28,8 @@ Pair = Tuple[np.ndarray, np.ndarray]
 
 def sigmoid(t):
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -125,34 +130,120 @@ class TrainResult(NamedTuple):
 
 
 def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
-    """Train under the shared stop rule of qnnbench.training; the training
-    state is the weights and biases. The pairs are checked and converted to
-    float once, before any update; an epoch is one in-order pass."""
-    if not pairs:
+    """Train one net: the one-net case of train_lockstep."""
+    return train_lockstep([net], [pairs], rms_target, max_epochs)[0]
+
+
+def _views(buffer, sizes):
+    """Per-layer weight (B, m, n) and bias (B, m, 1) views into a (B, S)
+    buffer whose rows hold every weight matrix, then every bias vector."""
+    rows, at = len(buffer), 0
+    weights, biases = [], []
+    for n, m in zip(sizes[:-1], sizes[1:]):
+        weights.append(buffer[:, at : at + m * n].reshape(rows, m, n))
+        at += m * n
+    for m in sizes[1:]:
+        biases.append(buffer[:, at : at + m, None])
+        at += m
+    return weights, biases
+
+
+def train_lockstep(nets, pair_sets, rms_target, max_epochs) -> List[TrainResult]:
+    """Train each net on its own pairs under the shared stop rule of
+    qnnbench.training, all of them in lockstep; returns one TrainResult per
+    net, in order.
+
+    The nets must share their sizes and learning rate, and the pair lists
+    their length. Every pair of every net is checked and converted to float
+    once, before any update. The parameters of the nets still training are
+    the rows of one float64 buffer, which is also their training state.
+    Each epoch is one in-order pass over the pairs; each pair is one
+    gradient step of every net, taken by stacked matrix products that apply
+    to each net the same floating-point operations as training it alone,
+    so every net's run is bit for bit the one it would have alone. A net
+    that stops leaves the batch, and its final parameters are written back
+    into its arrays."""
+    if not nets or len(nets) != len(pair_sets):
+        raise ValidationError("need one pair list per net")
+    sizes, lr, n_pairs = nets[0].sizes, nets[0].learning_rate, len(pair_sets[0])
+    if not n_pairs:
         raise ValidationError("cannot train on an empty pair list")
-    n_in, n_out = net.sizes[0], net.sizes[-1]
-    data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
-    for k, (x, target) in enumerate(data):
-        if x.shape != (n_in,) or target.shape != (n_out,):
+    for net, pairs in zip(nets, pair_sets):
+        if net.sizes != sizes or net.learning_rate != lr or len(pairs) != n_pairs:
             raise ValidationError(
-                f"pair {k}: expected input width {n_in} and target width {n_out}"
+                "lockstep nets need equal sizes, learning rates and pair counts"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
-            raise ValidationError(f"pair {k}: non-finite input or target")
-    params = net.weights + net.biases
-    lr = net.learning_rate
-    n_components = n_out * len(data)
+        if any(p.dtype != np.float64 for p in net.weights + net.biases):
+            raise ValidationError("rvnn parameters must be float64 arrays")
+    n_in, n_out = sizes[0], sizes[-1]
+    inputs = np.empty((len(nets), n_pairs, n_in, 1))
+    targets = np.empty((len(nets), n_pairs, n_out, 1))
+    for i, pairs in enumerate(pair_sets):
+        for k, (x, target) in enumerate(pairs):
+            x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
+            if x.shape != (n_in,) or target.shape != (n_out,):
+                raise ValidationError(
+                    f"net {i}, pair {k}: expected input width {n_in} "
+                    f"and target width {n_out}"
+                )
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
+                raise ValidationError(f"net {i}, pair {k}: non-finite input or target")
+            inputs[i, k, :, 0], targets[i, k, :, 0] = x, target
+    params = np.array(
+        [np.concatenate([p.ravel() for p in net.weights + net.biases]) for net in nets]
+    )
+    grads = np.empty_like(params)
+    rows = list(range(len(nets)))  # the net in each buffer row
+    n_components = n_out * n_pairs
+
+    def bind():
+        """Views into the buffers of the nets still training."""
+        pairs = [(inputs[:, k], targets[:, k]) for k in range(n_pairs)]
+        return (*_views(params, sizes), *_views(grads, sizes), pairs)
+
+    weights, biases, grad_w, grad_b, data = bind()
 
     def epoch():
-        sq_sum = 0.0
+        sq_sum = np.zeros((len(params), 1))
         for x, target in data:
-            gw, gb, out = pair_gradients(net, x, target)
-            sq_sum += float(np.sum((out - target) ** 2))
-            for p, g in zip(params, gw + gb):
-                p -= lr * g
-        return (np.sqrt(sq_sum / n_components),)
+            acts = [x]
+            for w, b in zip(weights, biases):
+                z = w @ acts[-1]
+                z += b
+                acts.append(sigmoid(z))
+            out = acts[-1]
+            err = out - target
+            sq_sum += np.add.reduce(err * err, axis=1)
+            delta = err * out * (1.0 - out)
+            for k in range(len(weights) - 1, -1, -1):
+                np.multiply(delta, acts[k].swapaxes(1, 2), out=grad_w[k])
+                grad_b[k][...] = delta
+                if k > 0:
+                    back = weights[k].swapaxes(1, 2) @ delta
+                    delta = back * acts[k] * (1.0 - acts[k])
+            np.subtract(params, lr * grads, out=params)
+        return (np.sqrt(sq_sum[:, 0] / n_components).tolist(),)
 
-    run = run_epochs(
-        epoch, lambda: b"".join([p.tobytes() for p in params]), rms_target, max_epochs
+    def write_back(row, i):
+        at = 0
+        for p in nets[i].weights + nets[i].biases:
+            p[...] = row[at : at + p.size].reshape(p.shape)
+            at += p.size
+
+    def shrink(keep):
+        nonlocal params, grads, inputs, targets, rows
+        nonlocal weights, biases, grad_w, grad_b, data
+        for row, i, kept in zip(params, rows, keep):
+            if not kept:
+                write_back(row, i)
+        params, inputs, targets = params[keep], inputs[keep], targets[keep]
+        grads = np.empty_like(params)
+        rows = [i for i, kept in zip(rows, keep) if kept]
+        weights, biases, grad_w, grad_b, data = bind()
+
+    runs = run_epochs(
+        epoch, lambda: params.view(np.uint64).copy(), rms_target, max_epochs, shrink
     )
-    return TrainResult(net, *run)
+    for row, i in zip(params, rows):
+        write_back(row, i)
+    return [TrainResult(net, *run) for net, run in zip(nets, runs)]

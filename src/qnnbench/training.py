@@ -17,10 +17,16 @@ the final net, epochs_used, converged and every record come out as the
 plain loop would produce them. The budget is never cut: a run that cycles
 cannot converge, since every epoch of the cycle has already missed the
 target, and it reports max_epochs.
+
+Trials of one net can run in lockstep, as rows of one training state: an
+epoch advances every trial still running, each trial keeps its own stop
+rule, snapshot and records, and a trial leaves the batch as soon as its
+stop rule fires. A single trial is the one-row case.
 """
 
 import numbers
-from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -37,42 +43,63 @@ def check_stop_rule(rms_target, max_epochs) -> None:
         raise ValidationError("max_epochs must be an integer >= 1")
 
 
-def run_epochs(
-    epoch: Callable[[], Sequence[float]],
-    state: Callable[[], bytes],
-    rms_target,
-    max_epochs,
-):
-    """Call epoch() until the stop rule fires. state() returns the bytes of
-    everything the next epoch depends on. Returns (epochs_used, converged,
-    *columns), one column per item epoch() returns, one entry per epoch:
-    the RMS history first."""
+def run_epochs(epoch, state, rms_target, max_epochs, shrink=None):
+    """Run one or more trials in lockstep until each one's stop rule fires.
+
+    state() returns the training state of the trials still running, one
+    row of uint64 words per trial: the bits of everything its next epoch
+    depends on. Its first call fixes the number of trials. epoch() runs one
+    epoch of every trial still running and returns that epoch's numbers as
+    columns with one value per running trial, in row order: the RMS first,
+    then any per-epoch counts the net tallies. When some trials stop while
+    others run on, shrink(keep) is called with a boolean mask over the rows;
+    later epochs and states cover the kept rows only.
+
+    Returns one (epochs_used, converged, *columns) tuple per trial, in row
+    order, each column with one entry per epoch: the RMS history first."""
     check_stop_rule(rms_target, max_epochs)
-    columns = []
     previous = snapshot = state()
-    snapshot_at = used = 0
-    while used < max_epochs:
+    n = len(previous)
+    trials = list(range(n))  # the trial in each row
+    runs, columns, used, snapshot_at = [None] * n, [None] * n, [0] * n, [0] * n
+    while trials:
         record = epoch()
-        if not columns:
-            columns = [[] for _ in record]
-        for column, value in zip(columns, record):
-            column.append(value)
-        used += 1
-        if record[0] <= rms_target:
-            return (used, True, *columns)
         current = state()
-        if current == previous:
-            period = 1
-        elif current == snapshot:
-            period = used - snapshot_at
-        else:
-            period = 0
-        if period:
-            copies = (max_epochs - used) // period
-            for column in columns:
-                column.extend(column[-period:] * copies)
-            used += copies * period
-        if used & (used - 1) == 0:
-            snapshot, snapshot_at = current, used
+        repeat = (current == previous).all(axis=1).tolist()
+        back = (current == snapshot).all(axis=1).tolist()
+        for row, t in enumerate(trials):
+            if columns[t] is None:
+                columns[t] = [[] for _ in record]
+            for column, values in zip(columns[t], record):
+                column.append(values[row])
+            used[t] += 1
+            if record[0][row] <= rms_target:
+                runs[t] = (used[t], True, *columns[t])
+                continue
+            if repeat[row]:
+                period = 1
+            elif back[row]:
+                period = used[t] - snapshot_at[t]
+            else:
+                period = 0
+            if period:
+                copies = (max_epochs - used[t]) // period
+                for column in columns[t]:
+                    column.extend(column[-period:] * copies)
+                used[t] += copies * period
+            if used[t] == max_epochs:
+                runs[t] = (max_epochs, False, *columns[t])
+        due = [used[t] & (used[t] - 1) == 0 for t in trials]
+        if any(due):
+            snapshot = np.where(np.array(due)[:, None], current, snapshot)
+            for t, d in zip(trials, due):
+                snapshot_at[t] = used[t] if d else snapshot_at[t]
         previous = current
-    return (max_epochs, False, *columns)
+        keep = [runs[t] is None for t in trials]
+        if not all(keep):
+            trials = [t for t, k in zip(trials, keep) if k]
+            if trials:
+                keep = np.array(keep)
+                previous, snapshot = previous[keep], snapshot[keep]
+                shrink(keep)
+    return runs

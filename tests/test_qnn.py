@@ -404,3 +404,22 @@ class TestValidation:
         config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)
         with pytest.raises(ValidationError, match="targets must be finite"):
             qnn.train(pairs, config, zero_schedule())
+
+    @pytest.mark.parametrize("bad", [3.0, -0.1])
+    def test_train_rejects_targets_outside_the_readout_range(self, bad):
+        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
+        pairs[2] = (pairs[2][0], bad)
+        config = qnn.QnnConfig(learning_rate=8.0, max_epochs=50, backtracking=True)
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            qnn.train(pairs, config, zero_schedule())
+
+    @pytest.mark.parametrize("edge", [0.0, 1.0])
+    def test_train_accepts_targets_at_the_readout_bounds(self, edge):
+        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
+        pairs[2] = (pairs[2][0], edge)
+        config = qnn.QnnConfig(learning_rate=1.0, max_epochs=2)
+        assert qnn.train(pairs, config, zero_schedule()).epochs_used >= 1
+
+    def test_batch_loss_rejects_an_empty_batch(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            qnn.batch_loss([], zero_schedule())

@@ -292,7 +292,7 @@ class TestTrialPipeline:
         self, monkeypatch, experiment, seeds, train_size
     ):
         calls = []
-        _counting(monkeypatch, rvnn, "train_to_threshold", calls, "rvnn")
+        _counting(monkeypatch, rvnn, "train_lockstep", calls, "rvnn")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         _counting(monkeypatch, qnn, "train", calls, "qnn")
         config = ExperimentConfig(
@@ -302,8 +302,13 @@ class TestTrialPipeline:
             net_params=self.TINY,
         )
         reports = run_experiment(config)
-        assert [net for net, _, _ in calls] == [r.net for r in reports]
-        for (net, args, _), report in zip(calls, reports):
+        # One lockstep call trains every rvnn trial of the table, first;
+        # the cvnn and qnn trials follow one call each, in report order.
+        assert calls[0][0] == "rvnn"
+        assert len(calls[0][1][0]) == sum(r.net == "rvnn" for r in reports)
+        singles = [r for r in reports if r.net != "rvnn"]
+        assert [net for net, _, _ in calls[1:]] == [r.net for r in singles]
+        for (net, args, _), report in zip(calls[1:], singles):
             if net == "qnn":
                 assert args[1].seed == report.seed
 
@@ -314,7 +319,7 @@ class TestTrialPipeline:
     )
     def test_hidden_none_trains_a_single_layer_net(self, monkeypatch, experiment, sizes):
         calls = []
-        _counting(monkeypatch, rvnn, "train_to_threshold", calls, "rvnn")
+        _counting(monkeypatch, rvnn, "train_lockstep", calls, "rvnn")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         config = ExperimentConfig(
             experiment=experiment,
@@ -328,4 +333,5 @@ class TestTrialPipeline:
         reports = run_experiment(config)
         assert [r.net for r in reports] == ["rvnn", "cvnn"]
         assert all(r.test_rms_pct is not None for r in reports)
-        assert {net: args[0].sizes for net, args, _ in calls} == sizes
+        built = {net: args[0] for net, args, _ in calls}
+        assert {"rvnn": built["rvnn"][0].sizes, "cvnn": built["cvnn"].sizes} == sizes

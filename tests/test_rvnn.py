@@ -173,6 +173,17 @@ def test_pair_widths_are_checked_before_any_update(sizes, x, t):
         assert p.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_parameters_other_than_float64_are_rejected(dtype):
+    # Training runs in a float64 buffer; writing it back into narrower
+    # arrays would cast the final weights silently.
+    net = zeros_stack((2, 1))
+    net.weights[0] = net.weights[0].astype(dtype)
+    with pytest.raises(ValidationError):
+        rvnn.train_to_threshold(net, gate_pairs([0, 0, 0, 1]), 0.01, max_epochs=1)
+    assert net.weights[0].dtype == dtype
+
+
 def test_training_is_deterministic_per_seed():
     histories = []
     for _ in range(2):

@@ -1,6 +1,7 @@
 """The stop rule shared by the three nets (qnnbench.training), checked once
 through each net's training entry point on the XOR gate, and the epoch loop's
-cycle fast-forward, checked against a plain loop that runs every epoch."""
+cycle fast-forward and lockstep trials, checked against a plain loop that
+runs every epoch of one trial."""
 
 import math
 
@@ -90,19 +91,20 @@ def test_run_stops_at_the_first_epoch_equal_to_the_target(train):
 # ---------------------------------------------------------------------------
 
 
-def plain_epochs(epoch, state, rms_target, max_epochs):
-    """run_epochs without cycle detection: every epoch runs."""
+def plain_epochs(epoch, state, rms_target, max_epochs, shrink=None):
+    """run_epochs for one trial without cycle detection: every epoch runs."""
     training.check_stop_rule(rms_target, max_epochs)
+    assert len(state()) == 1
     columns = []
     for used in range(1, max_epochs + 1):
         record = epoch()
         if not columns:
             columns = [[] for _ in record]
-        for column, value in zip(columns, record):
-            column.append(value)
-        if record[0] <= rms_target:
-            return (used, True, *columns)
-    return (max_epochs, False, *columns)
+        for column, values in zip(columns, record):
+            column.append(values[0])
+        if record[0][0] <= rms_target:
+            return [(used, True, *columns)]
+    return [(max_epochs, False, *columns)]
 
 
 def counted(monkeypatch, module, name):
@@ -122,32 +124,68 @@ def bits(values):
     return b"".join(np.asarray(v).tobytes() for v in values)
 
 
-def rho_map(tail, period):
-    """A deterministic epoch over integer states: tail states lead into a
-    cycle of the given period. Records are (rms, state)."""
-    x = 0
-
-    def step(v):
-        return v + 1 if v + 1 < tail + period else tail
+def rho_maps(*shapes):
+    """Deterministic epochs over integer states, one trial per (tail,
+    period, hit): tail states lead into a cycle of the given period, and a
+    trial converges on reaching state hit (None: never). Records are
+    (rms, state) per running trial."""
+    shapes = list(shapes)
+    xs = [0] * len(shapes)
 
     def epoch():
-        nonlocal x
-        x = step(x)
-        return 0.5 + 0.01 * (x % 7), x
+        for k, (tail, period, _) in enumerate(shapes):
+            xs[k] = xs[k] + 1 if xs[k] + 1 < tail + period else tail
+        rms = [
+            0.0 if x == hit else 0.5 + 0.01 * (x % 7)
+            for x, (_, _, hit) in zip(xs, shapes)
+        ]
+        return rms, list(xs)
 
-    return epoch, lambda: x
+    def state():
+        return np.array(xs, dtype=np.uint64)[:, None]
+
+    def shrink(keep):
+        shapes[:] = [s for s, k in zip(shapes, keep) if k]
+        xs[:] = [x for x, k in zip(xs, keep) if k]
+
+    return epoch, state, shrink
+
+
+def run_maps(run_epochs, shapes, max_epochs):
+    epoch, state, shrink = rho_maps(*shapes)
+    return run_epochs(epoch, state, 0.01, max_epochs, shrink)
 
 
 @pytest.mark.parametrize("tail, period", [(0, 1), (5, 1), (0, 3), (7, 5), (100, 37)])
 def test_run_epochs_matches_the_plain_loop_on_every_cap(tail, period):
     for max_epochs in range(1, 300):
-        fast = training.run_epochs(*rho_map(tail, period), 0.01, max_epochs)
-        slow = plain_epochs(*rho_map(tail, period), 0.01, max_epochs)
+        fast = run_maps(training.run_epochs, [(tail, period, None)], max_epochs)
+        slow = run_maps(plain_epochs, [(tail, period, None)], max_epochs)
+        assert fast == slow
+
+
+def test_lockstep_trials_each_match_their_plain_loop_on_every_cap():
+    # Fixed points, cycles entered late and early, trials that converge
+    # before, inside or after their cycle, and one that converges never:
+    # the batch shrinks at different epochs for every cap.
+    shapes = [
+        (0, 1, None),
+        (5, 1, None),
+        (7, 5, None),
+        (100, 37, None),
+        (3, 4, 5),
+        (20, 6, 12),
+        (60, 2, 61),
+        (0, 3, 2),
+    ]
+    for max_epochs in range(1, 200):
+        fast = run_maps(training.run_epochs, shapes, max_epochs)
+        slow = [run_maps(plain_epochs, [s], max_epochs)[0] for s in shapes]
         assert fast == slow
 
 
 def runner_stream(net, seed, variant):
-    """The init stream runner.run_trial hands a net."""
+    """The init stream the runner hands a net."""
     entropy = (seed, runner.ROLE_NET_INIT, runner.NETS.index(net), variant)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -170,10 +208,12 @@ def assert_same_run(fast, slow):
 
 
 # Seed 0 enters a cycle of period 4 at epoch 617, so these caps leave every
-# remainder mod 4 for the leftover epochs.
+# remainder mod 4 for the leftover epochs. rvnn training calls sigmoid once
+# per layer per pair step, so counting its calls on these single-layer nets
+# counts the pair steps run.
 @pytest.mark.parametrize("max_epochs", [2_000, 2_001, 2_002, 2_003])
 def test_parity_rvnn_trial_matches_the_plain_loop(monkeypatch, max_epochs):
-    calls = counted(monkeypatch, rvnn, "pair_gradients")
+    calls = counted(monkeypatch, rvnn, "sigmoid")
     fast = rvnn_xor_trial(max_epochs)
     assert calls[0] < max_epochs * len(XOR.pairs)
     with monkeypatch.context() as patch:
@@ -230,10 +270,170 @@ def test_all_degenerate_cvnn_counts_every_skip_of_the_budget():
 
 
 def test_a_frozen_net_runs_one_epoch_of_a_million(monkeypatch):
-    calls = counted(monkeypatch, rvnn, "pair_gradients")
+    calls = counted(monkeypatch, rvnn, "sigmoid")
     net = rvnn.random_stack((2, 1), 0.0, np.random.default_rng(0))
     pairs = tasks.gate_encode_rvnn(XOR)
     result = rvnn.train_to_threshold(net, pairs, 0.01, 1_000_000)
     assert calls[0] <= 2 * len(pairs)
     assert (result.epochs_used, result.converged) == (1_000_000, False)
     assert len(result.rms_history) == 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# Lockstep rvnn trials against the slow oracle, one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def oracle_rvnn(net, pairs, rms_target, max_epochs):
+    """The slow oracle for rvnn training: one pair_gradients step per pair,
+    in order, under the plain loop."""
+    data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
+    params = net.weights + net.biases
+    n_components = net.sizes[-1] * len(data)
+
+    def epoch():
+        sq_sum = 0.0
+        for x, target in data:
+            gw, gb, out = rvnn.pair_gradients(net, x, target)
+            sq_sum += float(np.sum((out - target) ** 2))
+            for p, g in zip(params, gw + gb):
+                p -= net.learning_rate * g
+        return ([np.sqrt(sq_sum / n_components)],)
+
+    state = lambda: np.zeros((1, 1), dtype=np.uint64)
+    [run] = plain_epochs(epoch, state, rms_target, max_epochs)
+    return rvnn.TrainResult(net, *run)
+
+
+def assert_lockstep_matches_the_oracle(make_nets, pair_sets, rms_target, max_epochs):
+    """Train make_nets() in lockstep and a second make_nets() one at a time
+    under the oracle; every trial must come out bit for bit the same."""
+    nets = make_nets()
+    fast = rvnn.train_lockstep(nets, pair_sets, rms_target, max_epochs)
+    slow = [
+        oracle_rvnn(net, pairs, rms_target, max_epochs)
+        for net, pairs in zip(make_nets(), pair_sets)
+    ]
+    assert [r.net for r in fast] == nets
+    for f, s in zip(fast, slow):
+        assert_same_run(
+            (f, bits(f.net.weights + f.net.biases)),
+            (s, bits(s.net.weights + s.net.biases)),
+        )
+    return fast, slow
+
+
+def gate_batch(gates, seeds):
+    pair_sets, keys = [], []
+    for gate in gates:
+        for seed in seeds:
+            pair_sets.append(tasks.gate_encode_rvnn(tasks.gate_dataset(gate)))
+            keys.append((seed, tasks.GATE_NAMES.index(gate)))
+
+    def make_nets():
+        return [
+            rvnn.random_stack((2, 1), 2.0, runner_stream("rvnn", seed, variant))
+            for seed, variant in keys
+        ]
+
+    return make_nets, pair_sets
+
+
+# At a 2% target the OR trials converge near epoch 1,550, the AND trials
+# are still above it at the cap and the parity trials cycle, so the batch
+# shrinks twice, and the caps leave every remainder mod 4 for the cycles.
+@pytest.mark.parametrize("max_epochs", [2_000, 2_001, 2_002, 2_003])
+def test_lockstep_gate_trials_match_the_oracle(monkeypatch, max_epochs):
+    rows = [0]
+    sigmoid = rvnn.sigmoid
+
+    def counted_rows(t):
+        rows[0] += len(t)
+        return sigmoid(t)
+
+    make_nets, pair_sets = gate_batch(("AND", "OR", "XOR", "XNOR"), (0, 1, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(rvnn, "sigmoid", counted_rows)
+        fast = rvnn.train_lockstep(make_nets(), pair_sets, 0.02, max_epochs)
+    runs = [(r.epochs_used, r.converged) for r in fast]
+    assert [c for _, c in runs] == [False] * 3 + [True] * 3 + [False] * 6
+    # Without the fast-forward the parity trials would take a step on
+    # every pair of every epoch of the budget.
+    ran_alone = sum(e for e, _ in runs[:6]) + 6 * max_epochs
+    assert rows[0] < ran_alone * 4
+    assert_lockstep_matches_the_oracle(make_nets, pair_sets, 0.02, max_epochs)
+
+
+def test_lockstep_witness_trials_match_the_oracle():
+    params = runner.DEFAULTS["entanglement"]["rvnn"]
+    pair_sets = [
+        [tasks.witness_encode_rvnn(p) for p in tasks.witness_dataset(4, seed)]
+        for seed in range(10)
+    ]
+
+    def make_nets():
+        lr = params["learning_rate"]
+        return [
+            rvnn.random_stack((16, 8, 1), lr, runner_stream("rvnn", seed, 0))
+            for seed in range(10)
+        ]
+
+    assert_lockstep_matches_the_oracle(make_nets, pair_sets, params["rms_target"], 150)
+
+
+def test_lockstep_iris_trials_match_the_oracle():
+    params = runner.DEFAULTS["iris"]["rvnn"]
+    records = tasks.load_iris()
+    bounds = tasks.feature_bounds(records)
+    pair_sets = [
+        [tasks.iris_encode_onehot(r, bounds) for r in train]
+        for train, _ in (tasks.split_stratified(records, 75, seed) for seed in (0, 1))
+    ]
+
+    def make_nets():
+        lr = params["learning_rate"]
+        return [
+            rvnn.random_stack((4, 8, 3), lr, runner_stream("rvnn", seed, 0))
+            for seed in (0, 1)
+        ]
+
+    assert_lockstep_matches_the_oracle(make_nets, pair_sets, params["rms_target"], 20)
+
+
+def gate_nets(*specs):
+    """(sizes, learning rate) per net, drawn from one stream."""
+    rng = np.random.default_rng(4)
+    return [rvnn.random_stack(sizes, lr, rng) for sizes, lr in specs]
+
+
+AND_PAIRS = tasks.gate_encode_rvnn(tasks.gate_dataset("AND"))
+
+
+@pytest.mark.parametrize(
+    "specs, pair_sets",
+    [
+        ([((2, 1), 2.0), ((2, 2, 1), 2.0)], [AND_PAIRS, AND_PAIRS]),
+        ([((2, 1), 2.0), ((2, 1), 1.0)], [AND_PAIRS, AND_PAIRS]),
+        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS, AND_PAIRS[:3]]),
+        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS]),
+        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS, AND_PAIRS, AND_PAIRS]),
+    ],
+    ids=["sizes", "learning-rates", "pair-counts", "fewer-pair-lists", "more-pair-lists"],
+)
+def test_a_mixed_lockstep_batch_is_rejected(specs, pair_sets):
+    nets = gate_nets(*specs)
+    before = [bits(net.weights + net.biases) for net in nets]
+    with pytest.raises(ValidationError):
+        rvnn.train_lockstep(nets, pair_sets, 0.01, 10)
+    assert [bits(net.weights + net.biases) for net in nets] == before
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_a_bad_pair_in_any_trial_is_rejected_before_any_net_changes(bad):
+    nets = gate_nets(*[((2, 1), 2.0)] * 3)
+    before = [bits(net.weights + net.biases) for net in nets]
+    pair_sets = [list(AND_PAIRS) for _ in nets]
+    pair_sets[bad][-1] = (pair_sets[bad][-1][0], np.array([np.nan]))
+    with pytest.raises(ValidationError):
+        rvnn.train_lockstep(nets, pair_sets, 0.01, 10)
+    assert [bits(net.weights + net.biases) for net in nets] == before
