@@ -2,11 +2,13 @@
 
 Signals live on the complex unit circle. A neuron sums its weighted inputs
 plus a bias weight fed by 1+0i, and the activation projects the sum back onto
-the circle. Learning is one rule, correct_layer: a neuron's error is split
-evenly over its weights, each share times the inverse of its input. Given the
-error from the raw sum, one correction lands the sum exactly on the target;
-training measures the error from the activated signal instead, which leaves a
-fixed point once the output angles are right. No learning rate is involved.
+the circle. Learning is one rule: a neuron's error is split evenly over its
+weights, each share times the inverse of its input. Given the error from the
+raw sum, one correction lands the sum exactly on the target; training
+measures the error from the activated signal instead, which leaves a fixed
+point once the output angles are right. No learning rate is involved.
+Training runs the rule as an unchecked kernel; correct_layer is its checked
+public wrapper, the same arithmetic.
 
 Real values in [0, 1] enter and leave the network through map_scalar/unmap
 (half-turn encoding: 0 sits at angle 0, 1 at angle pi, and unmap reflects the
@@ -16,7 +18,10 @@ toward whichever candidate is nearest, and doubled_angle_readout recovers the
 class from the squared output. Multi-candidate targets are what let a single
 layer separate parity-style tasks that the half-turn encoding cannot.
 
-train_to_threshold, the one way to train, checks the pairs once, up front.
+train_to_threshold, the one way to train, checks the pairs once, up front;
+its pair step then checks only what training can break: a neuron sum at 0
+and a zero weight carrying error back. Hidden signals fed to a correction
+are activations on the unit circle, so they have inverses.
 Epoch RMS is measured on the unmapped real outputs as pairs are visited,
 before each pair's own update, and is returned as a fraction in [0, 1].
 Epochs repeat under the shared stop rule of qnnbench.training.
@@ -55,9 +60,10 @@ def unmap(z: complex) -> float:
 
 def activation(z):
     """Project a neuron sum, or an array of them, onto the unit circle."""
-    if np.any(z == 0):
+    a = np.abs(z)
+    if not a.all():
         raise DegenerateActivationError("neuron sum landed exactly on 0")
-    return z / abs(z)
+    return z / a
 
 
 def periodic_candidates(bit: int) -> Tuple[complex, complex]:
@@ -132,12 +138,17 @@ def forward(net: ComplexLayerStack, x) -> np.ndarray:
     return current
 
 
+def _correct(weights, inputs, errors):
+    return weights + (errors[:, None] / inputs.size) / inputs[None, :]
+
+
 def correct_layer(weights, inputs, errors) -> np.ndarray:
     """The error-correction rule for one layer; returns the new weights.
 
     Each neuron's error is split evenly over its incoming weights, and each
     share is multiplied by the inverse of the signal that weight carries.
     With errors = target - weights @ inputs, every new sum equals its target.
+    This is the checked public form of the kernel that training runs.
     """
     weights = np.asarray(weights, dtype=complex)
     inputs = np.asarray(inputs, dtype=complex)
@@ -147,10 +158,10 @@ def correct_layer(weights, inputs, errors) -> np.ndarray:
         raise ValidationError("weights must be an (errors, inputs) matrix")
     if np.any(inputs == 0):
         raise ValidationError("zero input signal has no inverse")
-    return weights + (errors[:, None] / inputs.size) / inputs[None, :]
+    return _correct(weights, inputs, errors)
 
 
-def _pair_errors(net, outputs, targets):
+def _pair_errors(weights, outputs, targets):
     """Backward phase: per-layer neuron errors from pre-update weights.
 
     The output error is the vector from the activated output signal to the
@@ -160,31 +171,14 @@ def _pair_errors(net, outputs, targets):
     equations at once, so training would circle forever without settling.
     """
     errors = [np.array([nearest_target(t, a) - a for t, a in zip(targets, outputs)])]
-    for k in range(len(net.weights) - 1, 0, -1):
-        w = net.weights[k]
-        carriers = w[:, : net.weights[k - 1].shape[0]]
-        if np.any(carriers == 0):
+    for k in range(len(weights) - 1, 0, -1):
+        w = weights[k]
+        carriers = w[:, : weights[k - 1].shape[0]]
+        if not carriers.all():
             raise DegenerateActivationError("zero weight cannot carry error")
         shares = (errors[0] / w.shape[1])[:, None] / carriers
         errors.insert(0, shares.sum(axis=0))
     return errors
-
-
-def _apply_pair(net, x, targets):
-    """Correct every layer in order, each fed by the corrected layers below
-    it, and write the net only once all are corrected, so a pair that
-    degenerates part-way leaves it untouched. Returns the outputs from
-    before the update."""
-    outputs = forward(net, x)
-    errors = _pair_errors(net, outputs, targets)
-    fed = _with_bias(np.asarray(x, dtype=complex))
-    corrected = []
-    for w, e in zip(net.weights, errors):
-        if corrected:
-            fed = _with_bias(activation(corrected[-1] @ fed))
-        corrected.append(correct_layer(w, fed, e))
-    net.weights = corrected
-    return outputs
 
 
 class TrainResult(NamedTuple):
@@ -218,18 +212,37 @@ def train_to_threshold(net, pairs, rms_target, max_epochs, readout=unmap):
         if np.any(x == 0):
             raise ValidationError(f"pair {k}: zero input signal has no inverse")
         wants = [readout(t[0] if isinstance(t, tuple) else t) for t in targets]
-        data.append((x, targets, wants))
+        data.append((_with_bias(x), targets, wants))
+    # One bias-extended signal per hidden layer, written in place each pair.
+    fed_hidden = [np.ones(n + 1, dtype=complex) for n in net.sizes[1:-1]]
 
     def epoch():
         sq_sum = 0.0
         skipped = 0
-        for x, targets, wants in data:
+        for fed_in, targets, wants in data:
+            # One pair: forward, errors from the pre-update weights, then each
+            # layer corrected in order, fed by the corrected layers below it.
+            # The net is written only once every layer is corrected, so a
+            # pair that degenerates part-way leaves it untouched.
+            weights = net.weights
             try:
-                outs = _apply_pair(net, x, targets)
+                fed = fed_in
+                for w, buf in zip(weights, fed_hidden):
+                    buf[:-1] = activation(w @ fed)
+                    fed = buf
+                outs = activation(weights[-1] @ fed)
+                errors = _pair_errors(weights, outs, targets)
+                fed = fed_in
+                corrected = [_correct(weights[0], fed, errors[0])]
+                for w, e, buf in zip(weights[1:], errors[1:], fed_hidden):
+                    buf[:-1] = activation(corrected[-1] @ fed)
+                    fed = buf
+                    corrected.append(_correct(w, fed, e))
             except DegenerateActivationError as exc:
                 warnings.warn(f"skipping degenerate pair: {exc}")
                 skipped += 1
                 continue
+            net.weights = corrected
             pair_sq = 0.0
             for z, want in zip(outs, wants):
                 pair_sq += (readout(z) - want) ** 2

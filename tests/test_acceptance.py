@@ -6,8 +6,8 @@ carrying the measured numbers next to the tolerance they are held to; run
 too. The heavy benchmark runs are module-scoped fixtures shared across
 tests. The million-epoch real-network parity-gate trials settle into a
 cycle within about 1,000 epochs, which training.run_epochs skips ahead
-through, so the file costs about a minute of wall time, most of it in
-the iris and witness runs.
+through, so the file costs about two minutes of wall time on a 2-vCPU
+host, most of it in the iris (about 70 s) and witness (about 35 s) runs.
 """
 
 import math

@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qnnbench.errors import DegenerateActivationError, ValidationError
-from qnnbench import cvnn
+from qnnbench import cvnn, tasks
+from qnnbench.training import run_epochs
 
 BITS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -71,6 +73,12 @@ def test_activation_reference_points():
 def test_activation_rejects_origin():
     with pytest.raises(DegenerateActivationError):
         cvnn.activation(0j)
+
+
+def test_activation_rejects_an_array_with_one_zero_entry():
+    z = np.array([1.0 + 1.0j, 0j, -2.0 + 0.5j])
+    with pytest.raises(DegenerateActivationError):
+        cvnn.activation(z)
 
 
 def test_activation_preserves_argument():
@@ -355,6 +363,119 @@ def test_initial_weights_avoid_origin():
         for w in net.weights:
             mods = np.abs(w)
             assert np.all(mods >= 0.1) and np.all(mods <= 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Training against the checked per-pair oracle
+# ---------------------------------------------------------------------------
+
+def oracle_pair(net, x, targets):
+    """One pair through the checked public path: forward, the pair errors,
+    then correct_layer per layer, each fed by the corrected layers below it.
+    The net is written only once every layer is corrected."""
+    outputs = cvnn.forward(net, x)
+    errors = cvnn._pair_errors(net.weights, outputs, targets)
+    fed = cvnn._with_bias(np.asarray(x, dtype=complex))
+    corrected = []
+    for w, e in zip(net.weights, errors):
+        if corrected:
+            fed = cvnn._with_bias(cvnn.activation(corrected[-1] @ fed))
+        corrected.append(cvnn.correct_layer(w, fed, e))
+    net.weights = corrected
+    return outputs
+
+
+def oracle_train(net, pairs, rms_target, max_epochs, readout=cvnn.unmap):
+    """train_to_threshold's epochs and stop rule, each pair run by oracle_pair."""
+    wants = [[readout(t[0] if isinstance(t, tuple) else t) for t in ts] for _, ts in pairs]
+
+    def epoch():
+        sq_sum, skipped = 0.0, 0
+        for (x, targets), want in zip(pairs, wants):
+            try:
+                outs = oracle_pair(net, x, targets)
+            except DegenerateActivationError:
+                skipped += 1
+                continue
+            pair_sq = 0.0
+            for z, w in zip(outs, want):
+                pair_sq += (readout(z) - w) ** 2
+            sq_sum += pair_sq
+        n_components = net.sizes[-1] * (len(pairs) - skipped)
+        if n_components == 0:
+            return [1.0], [skipped]
+        return [float(np.sqrt(sq_sum / n_components))], [skipped]
+
+    [(used, converged, history, skips)] = run_epochs(
+        epoch,
+        lambda: np.concatenate([w.ravel() for w in net.weights]).view(np.uint64)[None],
+        rms_target,
+        max_epochs,
+    )
+    return cvnn.TrainResult(net, used, converged, history, sum(skips))
+
+
+def assert_matches_oracle(sizes, seed, pairs, max_epochs, readout=cvnn.unmap):
+    runs = []
+    for train in (cvnn.train_to_threshold, oracle_train):
+        net = cvnn.random_stack(sizes, np.random.default_rng(seed))
+        runs.append(train(net, pairs, 0.01, max_epochs, readout=readout))
+    lean, oracle = runs
+    assert np.array(lean.rms_history).tobytes() == np.array(oracle.rms_history).tobytes()
+    assert (lean.epochs_used, lean.converged, lean.skipped) == (
+        oracle.epochs_used,
+        oracle.converged,
+        oracle.skipped,
+    )
+    for w, ref in zip(lean.net.weights, oracle.net.weights):
+        assert w.tobytes() == ref.tobytes()
+    return lean
+
+
+def test_iris_training_matches_the_oracle():
+    records = tasks.load_iris(None)
+    bounds = tasks.feature_bounds(records)
+    train, _ = tasks.split_stratified(records, 75, 0)
+    pairs = [tasks.iris_encode_cvnn(r, bounds) for r in train]
+    result = assert_matches_oracle((4, 100, 3), 0, pairs, 20)
+    assert result.epochs_used == 20 and result.skipped == 0
+
+
+@pytest.mark.parametrize("table", [[0, 1, 1, 0], [1, 0, 0, 1]], ids=["xor", "xnor"])
+@pytest.mark.parametrize("seed", range(3))
+def test_periodic_gate_training_matches_the_oracle(table, seed):
+    result = assert_matches_oracle(
+        (2, 1), seed, gate_pairs(table, periodic=True), 300, cvnn.doubled_angle_readout
+    )
+    assert result.converged
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_witness_training_matches_the_oracle(seed):
+    pairs = [tasks.witness_encode_cvnn(p) for p in tasks.witness_dataset(4, seed)]
+    assert_matches_oracle((16, 8, 1), seed, pairs, 300)
+
+
+@pytest.mark.parametrize(
+    "second",
+    # [1, 0] corrects the hidden sum to exactly 0; [0, 1] has a zero carrier.
+    [np.array([[1.0 + 0j, 0j]]), np.array([[0j, 1.0 + 0j]])],
+    ids=["zero-corrected-sum", "zero-carrier"],
+)
+def test_pair_degenerating_part_way_matches_the_oracle(second):
+    pairs = [(np.array([1.0 + 0j]), [-1.0 + 0j])]
+    results = []
+    for train in (cvnn.train_to_threshold, oracle_train):
+        net = cvnn.ComplexLayerStack([np.array([[0.5 + 0j, 0.5 + 0j]]), second.copy()])
+        before = [w.tobytes() for w in net.weights]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results.append(train(net, pairs, 0.01, 3))
+        assert [w.tobytes() for w in net.weights] == before
+    lean, oracle = results
+    assert lean.rms_history == oracle.rms_history == [1.0, 1.0, 1.0]
+    assert lean.skipped == oracle.skipped == 3
+    assert not lean.converged and lean.epochs_used == oracle.epochs_used == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""The bench's gates and witness tables, run through the library and held
-to the golden tables in bench/golden: every row's epochs_used, converged
-and RMS columns must come out as recorded there."""
+"""The bench's gates table, the classical rows of its witness table and the
+cvnn row of its iris table, run through the library and held to the golden
+tables in bench/golden: every row's epochs_used, converged and RMS columns
+must come out as recorded there."""
 
 import os
 
@@ -46,4 +47,12 @@ def test_witness_classical_rows_match_the_golden_table():
         "entanglement", nets=("rvnn", "cvnn"), seeds=tuple(range(10)), train_size=4
     )
     expected = {k: v for k, v in golden("witness").items() if k[1] != "qnn"}
+    assert run(config) == expected
+
+
+def test_iris_cvnn_row_matches_the_golden_table():
+    # The 4-100-3 cvnn runs all 1,000 of its epochs here, 75,000 pair steps
+    # over which a change in the step's rounding grows into the RMS columns.
+    config = ExperimentConfig("iris", nets=("cvnn",), seeds=(0,), train_size=75)
+    expected = {k: v for k, v in golden("iris").items() if k[1] == "cvnn"}
     assert run(config) == expected
