@@ -46,10 +46,9 @@ def rms_percent(outputs, targets) -> float:
 
 
 def onehot_rule(output, label) -> bool:
-    """A record counts as correct when the output at the labeled class
+    """A record counts as correct when the output at the labeled class index
     exceeds 0.5, regardless of what the other outputs do."""
-    label = np.asarray(label, dtype=float)
-    return bool(np.asarray(output, dtype=float)[int(np.argmax(label))] > 0.5)
+    return bool(np.asarray(output, dtype=float)[int(label)] > 0.5)
 
 
 def nearest_mean_rule(class_means):

@@ -2,13 +2,14 @@
 
 Every experiment runs through one trial pipeline. The task drivers
 (run_gates, run_iris, run_entanglement) only build a table's trials, each a
-net, a seed and its TrialData; run_trials draws each trial's init RNG,
-builds and trains the nets through their per-net steps, predicts (n,
-outputs) real arrays and scores them. A table's rvnn trials train together
-in one call of rvnn.train_lockstep; each cvnn and qnn trial calls
-cvnn.train_to_threshold or qnn.train on its own. The steps look up these
-entry points on their modules at every call, so a replacement installed
-there is what runs.
+net, a seed and its TrialData. run_trials is one loop over groups, a group
+being the trials that one step call trains: a table's rvnn trials train
+together in one call of rvnn.train_lockstep, and each cvnn or qnn trial is
+a group of its own, trained by cvnn.train_to_threshold or qnn.train. Every
+group draws its trials' init RNGs, builds and trains the nets, predicts
+(n, outputs) real arrays and scores them. The steps look up these entry
+points on their modules at every call, so a replacement installed there is
+what runs.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
@@ -156,9 +157,9 @@ class ExperimentConfig:
 class TrialData:
     """What a task hands to one trial: training pairs in the net's encoding,
     real target rows for the training and held-out inputs, the readout (None
-    for the net's default) and, for an accuracy, test labels plus a function
-    from the training predictions to a decision rule. variant splits the init
-    stream between the tasks of one experiment."""
+    for the net's default) and, for an accuracy, test labels (class indices)
+    plus a function from the training predictions to a decision rule.
+    variant splits the init stream between the tasks of one experiment."""
 
     label: str
     train: Sequence
@@ -182,41 +183,45 @@ def _init_stream(net, seed, data):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-# Per-net steps: build and train the nets, and return each train result with
-# a predict function from encoded inputs to an (n, outputs) real array. The
-# rvnn step takes a list of (data, rng) trials and trains them in lockstep;
-# the cvnn and qnn steps take one trial.
+# Per-net steps: each builds and trains the nets of one group of (data, rng,
+# seed) trials and returns, per trial, its train result and a predict
+# function from encoded inputs to an (n, outputs) real array. A net named in
+# _LOCKSTEP_NETS takes all of a table's trials as one group; any other net
+# takes one trial.
+_LOCKSTEP_NETS = ("rvnn",)
 
-def _rvnn_predictor(net):
-    return lambda xs: np.array([rvnn.forward(net, x) for x in xs])
 
-
-def _rvnn_steps(params, trials):
+def _rvnn_step(params, trials):
     nets = [
         rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
-        for data, rng in trials
+        for data, rng, _ in trials
     ]
     results = rvnn.train_lockstep(
         nets,
-        [data.train for data, _ in trials],
+        [data.train for data, _, _ in trials],
         params["rms_target"],
         params["max_epochs"],
     )
-    return [(result, _rvnn_predictor(result.net)) for result in results]
+    return [
+        (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
+        for result in results
+    ]
 
 
-def _cvnn_step(params, data, rng, seed):
+def _cvnn_step(params, trials):
+    [(data, rng, _)] = trials
     readout = data.readout or cvnn.unmap
     stack = cvnn.random_stack(_layer_sizes(params, data.train), rng)
     result = cvnn.train_to_threshold(
         stack, data.train, params["rms_target"], params["max_epochs"], readout=readout
     )
-    return result, lambda xs: np.array(
+    return [(result, lambda xs: np.array(
         [[readout(z) for z in cvnn.forward(result.net, x)] for x in xs]
-    )
+    ))]
 
 
-def _qnn_step(params, data, rng, seed):
+def _qnn_step(params, trials):
+    [(data, rng, seed)] = trials
     readout = data.readout or qnn.CORRELATION
     schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
     config = qnn.QnnConfig(
@@ -227,12 +232,12 @@ def _qnn_step(params, data, rng, seed):
         backtracking=params["backtracking"],
     )
     result = qnn.train(data.train, config, schedule, readout=readout)
-    return result, lambda states: qnn.batch_outputs(
+    return [(result, lambda states: qnn.batch_outputs(
         qnn.states_to_rhos(states), result.schedule, readout
-    )[:, None]
+    )[:, None])]
 
 
-_NET_STEPS = {"cvnn": _cvnn_step, "qnn": _qnn_step}
+_NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
 def _report(config, params, trial, result, predict, start):
@@ -263,30 +268,25 @@ def _report(config, params, trial, result, predict, start):
 
 def run_trials(config: ExperimentConfig, trials) -> List[RunReport]:
     """Build, train, predict and score (net, seed, data) trials; returns
-    their RunReports in the order given. The rvnn trials are built first
-    and trained in one lockstep call; the cvnn and qnn trials then run one
-    at a time. With timing on, each rvnn trial is charged an equal share
-    of the lockstep's build and train time, plus its own scoring."""
+    their RunReports in the order given. The trials run in groups, one step
+    call each: first all the trials of each net in _LOCKSTEP_NETS, then one
+    group per other trial, in report order. With timing on, each trial is
+    charged an equal share of its group's build and train time, plus its
+    own scoring."""
+    groups = [[i for i, t in enumerate(trials) if t[0] == net] for net in _LOCKSTEP_NETS]
+    groups += [[i] for i, t in enumerate(trials) if t[0] not in _LOCKSTEP_NETS]
     reports = [None] * len(trials)
-    lockstep = [i for i, (net, _, _) in enumerate(trials) if net == "rvnn"]
-    if lockstep:
-        params = config.resolved("rvnn")
+    for group in filter(None, groups):
+        net = trials[group[0]][0]
+        params = config.resolved(net)
         start = time.perf_counter()
-        trained = _rvnn_steps(
-            params,
-            [(trials[i][2], _init_stream(*trials[i])) for i in lockstep],
+        trained = _NET_STEPS[net](
+            params, [(trials[i][2], _init_stream(*trials[i]), trials[i][1]) for i in group]
         )
-        share = (time.perf_counter() - start) / len(lockstep)
-        for i, (result, predict) in zip(lockstep, trained):
+        share = (time.perf_counter() - start) / len(group)
+        for i, (result, predict) in zip(group, trained):
             start = time.perf_counter() - share
             reports[i] = _report(config, params, trials[i], result, predict, start)
-    for i, trial in enumerate(trials):
-        net, seed, data = trial
-        if net != "rvnn":
-            params = config.resolved(net)
-            start = time.perf_counter()
-            result, predict = _NET_STEPS[net](params, data, _init_stream(*trial), seed)
-            reports[i] = _report(config, params, trial, result, predict, start)
     return reports
 
 
@@ -338,12 +338,11 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
             if net == "qnn":
                 pairs = [tasks.iris_encode_qnn(r) for r in split]
                 targets = [[t] for _, t in pairs]
-                labels = species
                 rule = _nearest_species_mean(species[:n_train])
             else:
                 encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
                 pairs = [encode(r, bounds) for r in split]
-                targets = labels = onehot
+                targets = onehot
                 rule = lambda outs: onehot_rule
             data = TrialData(
                 label,
@@ -352,7 +351,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
                 [x for x, _ in pairs[n_train:]],
                 targets[n_train:],
                 decision_rule=rule,
-                test_labels=labels[n_train:],
+                test_labels=species[n_train:],
             )
             trials.append((net, seed, data))
     return run_trials(config, trials)

@@ -246,14 +246,20 @@ class TestDeterminismAndTiming:
         assert first == second
 
     def test_wall_time_is_zero_unless_requested(self):
+        # Two seeds of every net: the rvnn trials share one lockstep group's
+        # time, and each cvnn and qnn trial is timed as a group of its own.
         base = dict(
             experiment="entanglement",
-            nets=("qnn",),
-            seeds=(1,),
-            net_params={"qnn": {"max_epochs": 20}},
+            seeds=(0, 1),
+            net_params={
+                "rvnn": {"max_epochs": 20},
+                "cvnn": {"max_epochs": 20},
+                "qnn": {"max_epochs": 20},
+            },
         )
         silent = run_experiment(ExperimentConfig(**base))
         timed = run_experiment(ExperimentConfig(timing=True, **base))
+        assert sorted(r.net for r in timed) == sorted(2 * ["rvnn", "cvnn", "qnn"])
         assert all(r.wall_time_ms == 0.0 for r in silent)
         assert all(r.wall_time_ms > 0.0 for r in timed)
 
