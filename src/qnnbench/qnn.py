@@ -27,10 +27,10 @@ alone.
 
 Losses are evaluated for a stack of parameter vectors at once: one numpy
 pass (quantum.propagators, then every state through every propagator)
-serves the 10 S shifted schedules of a finite-difference gradient, and
-another the MAX_HALVINGS halved steps of a line search whose first trial
-failed. Each row comes out bit for bit as it would alone, so the stacking
-changes no trajectory.
+serves the 10 S shifted schedules of a finite-difference gradient, and one
+more the epoch's candidate steps (the learning rate and, for the line
+search, its MAX_HALVINGS halvings). Each row comes out bit for bit as it
+would alone, so the stacking changes no trajectory.
 """
 
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from .quantum import (
     propagators,
     schedule_propagator,
 )
-from .training import check_stop_rule, run_epochs
+from .training import check_stop_rule, is_count, is_real, run_epochs
 
 MAX_FD_STEP = 1e-2
 DEFAULT_FD_STEP = 1e-3
@@ -69,8 +69,9 @@ class QnnConfig:
     backtracking: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError("learning rate must be positive")
+        rate = self.learning_rate
+        if not (is_real(rate) and np.isfinite(rate) and rate > 0):
+            raise ValidationError("learning rate must be a positive real number")
         check_stop_rule(self.rms_target, self.max_epochs)
         if not isinstance(self.backtracking, bool):
             raise ValidationError("backtracking must be a bool")
@@ -105,7 +106,7 @@ def basis_projector(*indices: int) -> Readout:
     """Unsquared readout projecting onto a set of computational basis states."""
     diag = np.zeros(4)
     for i in indices:
-        if i not in (0, 1, 2, 3):
+        if not is_count(i) or i not in (0, 1, 2, 3):
             raise ValidationError("basis indices run from 0 to 3")
         diag[i] = 1.0
     return Readout(np.diag(diag).astype(complex), square=False)
@@ -197,11 +198,12 @@ def train(
     """Full-batch descent; one epoch is one gradient step, and the epoch RMS
     (a fraction) is measured after the step.
 
-    With config.backtracking the step is the first of learning_rate,
-    learning_rate / 2, ... that meets the Armijo condition; when none of
-    MAX_HALVINGS halvings does, the schedule stays put for that epoch.
-    Without it the first trial step is always taken. Targets must lie in
-    [0, 1], the range of every readout."""
+    Each epoch evaluates one gradient stack and one stack of candidate
+    steps: learning_rate, and with config.backtracking its MAX_HALVINGS
+    halvings too. The fixed step always takes learning_rate; the line search
+    takes the first candidate that meets the Armijo condition, and when none
+    does the schedule stays put. Targets must lie in [0, 1], the range of
+    every readout."""
     if not trainset:
         raise ValidationError("cannot train on an empty set")
     rhos = states_to_rhos([s for s, _ in trainset])
@@ -213,27 +215,20 @@ def train(
     params = initial_schedule.as_array()
     total_time = initial_schedule.total_time
     loss = _losses(params[None], total_time, rhos, targets, readout)[0]
-    halvings = 2.0 ** np.arange(1, MAX_HALVINGS + 1)
+    candidates = MAX_HALVINGS + 1 if config.backtracking else 1
+    rates = config.learning_rate / 2.0 ** np.arange(candidates)
 
     def epoch():
         nonlocal params, loss
         schedule = HamiltonianSchedule.from_array(params, total_time)
         step = gradient(schedule, trainset, DEFAULT_FD_STEP, readout)
-        slope = float(step @ step)
-        rate = config.learning_rate
-        trial = params - rate * step
-        trial_loss = _losses(trial[None], total_time, rhos, targets, readout)[0]
-        if not config.backtracking or trial_loss <= loss - ARMIJO_C1 * rate * slope:
-            params, loss = trial, trial_loss
-        else:
-            # The halved rates, tried as one stack; the first that passes
-            # is the one a sequential halving loop would take.
-            rates = rate / halvings
-            trials = params - rates[:, None] * step
-            losses = _losses(trials, total_time, rhos, targets, readout)
-            passed = np.flatnonzero(losses <= loss - ARMIJO_C1 * rates * slope)
-            if passed.size:
-                params, loss = trials[passed[0]], losses[passed[0]]
+        trials = params - rates[:, None] * step
+        losses = _losses(trials, total_time, rhos, targets, readout)
+        # A loop trying one rate at a time would take the first that passes.
+        armijo = losses <= loss - ARMIJO_C1 * rates * float(step @ step)
+        passed = np.flatnonzero(armijo | (not config.backtracking))
+        if passed.size:
+            params, loss = trials[passed[0]], losses[passed[0]]
         return ([float(np.sqrt(loss))],)
 
     # The carried loss is state too: the Armijo test compares against it.

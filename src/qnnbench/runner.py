@@ -24,7 +24,6 @@ each trial takes to build, train and score its net (for an rvnn trial, its
 equal share of the lockstep's build and train time).
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,7 @@ from .reporting import (
     onehot_rule,
     rms_percent,
 )
-from .training import is_count
+from .training import is_count, is_real
 
 EXPERIMENTS = ("gates", "iris", "entanglement")
 
@@ -82,7 +81,7 @@ def _valid_param(key: str, value) -> bool:
         return isinstance(value, bool)
     if key in ("hidden", "max_epochs", "slices"):
         return (key == "hidden" and value is None) or (is_count(value) and value >= 1)
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return is_real(value)
 
 
 @dataclass(frozen=True)

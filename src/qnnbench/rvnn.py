@@ -21,7 +21,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .training import run_epochs
+from .training import is_real, run_epochs
 
 Pair = Tuple[np.ndarray, np.ndarray]
 
@@ -37,8 +37,8 @@ class RealLayerStack:
     """Weights, biases, and the step size used when training the stack.
 
     The stated contract wants a positive learning rate, but a zero rate is
-    accepted so that a no-op training epoch stays expressible; only negative
-    rates are rejected.
+    accepted so that a no-op training epoch stays expressible. Negative
+    rates, and values that are not real numbers or are bools, are rejected.
     """
 
     weights: List[np.ndarray]
@@ -55,8 +55,9 @@ class RealLayerStack:
                 raise ValidationError(f"layer {k}: non-finite parameters")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
                 raise ValidationError(f"layer {k}: input width breaks the chain")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
-            raise ValidationError("learning rate must be finite and >= 0")
+        rate = self.learning_rate
+        if not (is_real(rate) and np.isfinite(rate) and rate >= 0):
+            raise ValidationError("learning rate must be a finite real number >= 0")
 
     @property
     def sizes(self):

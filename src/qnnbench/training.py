@@ -36,6 +36,11 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number (Python or numpy), bools excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_stop_rule(rms_target, max_epochs) -> None:
     if not 0 < rms_target < 1:
         raise ValidationError("rms_target must lie in (0, 1)")

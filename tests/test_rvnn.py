@@ -66,6 +66,12 @@ def test_stack_validation():
         zeros_stack((2, 1), lr=-0.5)
 
 
+@pytest.mark.parametrize("rate", [True, np.bool_(False), "0.5", None])
+def test_stack_rejects_a_learning_rate_that_is_not_a_real_number(rate):
+    with pytest.raises(ValidationError, match="learning rate"):
+        rvnn.random_stack((2, 1), rate, 0)
+
+
 # ---------------------------------------------------------------------------
 # Training mechanics
 # ---------------------------------------------------------------------------
