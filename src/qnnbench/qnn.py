@@ -25,12 +25,16 @@ converges. The gate and iris runs keep the fixed step. No randomness enters
 after the initial schedule is drawn, so runs are reproducible from the seed
 alone.
 
-Losses are evaluated for a stack of parameter vectors at once: one numpy
-pass (quantum.propagators, then every state through every propagator)
-serves the 10 S shifted schedules of a finite-difference gradient, and one
-more the epoch's candidate steps (the learning rate and, for the line
-search, its MAX_HALVINGS halvings). Each row comes out bit for bit as it
-would alone, so the stacking changes no trajectory.
+Losses are evaluated for a stack of parameter vectors at once, each row
+bit for bit as it would come out alone, so the stacking changes no
+trajectory. One numpy pass serves the 10 S shifted schedules of a
+finite-difference gradient; since each differs from the base schedule in
+one slice, it diagonalizes only the S base slices and the 10 S shifted ones
+and chains the shared slice unitaries. The epoch's candidate steps (the
+learning rate and, for the line search, its MAX_HALVINGS halvings) take at
+most two stacks: the first runs through one past the rate the previous
+epoch took, where the line search mostly lands, and the rest are scored
+only when none of those passes.
 """
 
 from dataclasses import dataclass
@@ -43,8 +47,10 @@ from .quantum import (
     HamiltonianSchedule,
     PureState,
     ZZ,
+    chain,
     propagators,
     schedule_propagator,
+    slice_unitaries,
 )
 from .training import check_stop_rule, is_count, is_real, run_epochs
 
@@ -58,6 +64,11 @@ ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 40
 
 TrainPair = Tuple[PureState, float]
+
+# The five parameters of a slice, and the row of its +h shift among the
+# eleven distinct slices the finite-difference gradient diagonalizes.
+_PARAM = np.arange(5)
+_SHIFT_UP = 1 + 2 * _PARAM
 
 
 @dataclass(frozen=True)
@@ -87,7 +98,9 @@ class Readout:
 
     def __post_init__(self):
         obs = np.asarray(self.observable, dtype=complex)
-        if obs.shape != (4, 4) or np.max(np.abs(obs - obs.conj().T)) > 1e-12:
+        if obs.shape != (4, 4) or not np.all(np.isfinite(obs)):
+            raise ValidationError("observable must be a finite 4x4 matrix")
+        if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
             raise ValidationError("observable must be 4x4 Hermitian")
         object.__setattr__(self, "observable", obs)
 
@@ -139,13 +152,17 @@ def _outputs(us, rhos, readout):
     return readout.values(evolved.reshape(-1, 4, 4)).reshape(len(us), -1)
 
 
+def _mse(us, rhos, targets, readout) -> np.ndarray:
+    """Batch mean squared error after each of n propagators: (n, 4, 4) ->
+    (n,)."""
+    return np.mean((_outputs(us, rhos, readout) - targets) ** 2, axis=1)
+
+
 def _losses(stack, total_time, rhos, targets, readout) -> np.ndarray:
     """Batch mean squared errors of a stack of parameter vectors:
     (n, 5 S) -> (n,)."""
-    if not np.all(np.isfinite(stack)):
-        raise ValidationError("Hamiltonian parameters must be finite")
     us = propagators(stack, total_time / (stack.shape[1] // 5))
-    return np.mean((_outputs(us, rhos, readout) - targets) ** 2, axis=1)
+    return _mse(us, rhos, targets, readout)
 
 
 def batch_loss(batch: Sequence[TrainPair], schedule, readout=CORRELATION) -> float:
@@ -166,19 +183,28 @@ def gradient(
     """Central finite differences of the batch loss over all slice parameters.
 
     The 2 P shifted schedules (p + h, p - h for each parameter p) are
-    evaluated as one stack."""
+    evaluated as one stack. Each differs from the base schedule in the one
+    slice that holds p, so the S base slices and the 2 P changed ones are
+    diagonalized in one call and shared among the rows."""
     if not batch:
         raise ValidationError("gradient needs a nonempty batch")
     if not 0 < fd_step <= MAX_FD_STEP:
         raise ValidationError(f"fd_step must lie in (0, {MAX_FD_STEP}]")
     rhos = states_to_rhos([s for s, _ in batch])
     targets = np.array([t for _, t in batch], dtype=float)
-    params = schedule.as_array()
-    index = np.arange(params.size)
-    shifted = np.repeat(params[None], 2 * params.size, axis=0)
-    shifted[2 * index, index] = params + fd_step
-    shifted[2 * index + 1, index] = params - fd_step
-    losses = _losses(shifted, schedule.total_time, rhos, targets, readout)
+    base = schedule.as_array().reshape(-1, 5)
+    n_slices = len(base)
+    # Row 0 of each slice is its base; rows 1 + 2 k and 2 + 2 k shift its
+    # parameter k by +h and -h. Shifted schedule 10 s + j is the base
+    # schedule with slice s replaced by that slice's row 1 + j.
+    coeffs = np.repeat(base[:, None], 11, axis=1)
+    coeffs[:, _SHIFT_UP, _PARAM] = base + fd_step
+    coeffs[:, _SHIFT_UP + 1, _PARAM] = base - fd_step
+    unitaries = slice_unitaries(coeffs, schedule.dt)
+    slices = np.repeat(unitaries[None, :, 0], 10 * n_slices, axis=0)
+    own = np.arange(n_slices)
+    slices.reshape(n_slices, 10, n_slices, 4, 4)[own, :, own] = unitaries[:, 1:]
+    losses = _mse(chain(slices), rhos, targets, readout)
     return (losses[0::2] - losses[1::2]) / (2.0 * fd_step)
 
 
@@ -198,12 +224,14 @@ def train(
     """Full-batch descent; one epoch is one gradient step, and the epoch RMS
     (a fraction) is measured after the step.
 
-    Each epoch evaluates one gradient stack and one stack of candidate
-    steps: learning_rate, and with config.backtracking its MAX_HALVINGS
-    halvings too. The fixed step always takes learning_rate; the line search
-    takes the first candidate that meets the Armijo condition, and when none
-    does the schedule stays put. Targets must lie in [0, 1], the range of
-    every readout."""
+    The candidate steps are learning_rate, and with config.backtracking its
+    MAX_HALVINGS halvings too. The fixed step always takes learning_rate;
+    the line search takes the first candidate that meets the Armijo
+    condition, and when none does the schedule stays put. Each epoch
+    evaluates one gradient stack and at most two stacks of candidates: the
+    rates through one past the index the previous epoch took (the first
+    rate alone in the first epoch), then, only if none of those passes, the
+    rest. Targets must lie in [0, 1], the range of every readout."""
     if not trainset:
         raise ValidationError("cannot train on an empty set")
     rhos = states_to_rhos([s for s, _ in trainset])
@@ -217,18 +245,27 @@ def train(
     loss = _losses(params[None], total_time, rhos, targets, readout)[0]
     candidates = MAX_HALVINGS + 1 if config.backtracking else 1
     rates = config.learning_rate / 2.0 ** np.arange(candidates)
+    # Candidates in the first stack: through one past the rate the last
+    # epoch took. Not training state: the chosen row is the same either way.
+    reach = 1
 
     def epoch():
-        nonlocal params, loss
+        nonlocal params, loss, reach
         schedule = HamiltonianSchedule.from_array(params, total_time)
         step = gradient(schedule, trainset, DEFAULT_FD_STEP, readout)
-        trials = params - rates[:, None] * step
-        losses = _losses(trials, total_time, rhos, targets, readout)
-        # A loop trying one rate at a time would take the first that passes.
-        armijo = losses <= loss - ARMIJO_C1 * rates * float(step @ step)
-        passed = np.flatnonzero(armijo | (not config.backtracking))
-        if passed.size:
-            params, loss = trials[passed[0]], losses[passed[0]]
+        decrease = ARMIJO_C1 * rates * float(step @ step)
+        for stack in (slice(0, reach), slice(reach, rates.size)):
+            trials = params - rates[stack, None] * step
+            if not len(trials):
+                break
+            losses = _losses(trials, total_time, rhos, targets, readout)
+            # A loop trying one rate at a time would take the first that passes.
+            armijo = losses <= loss - decrease[stack]
+            passed = np.flatnonzero(armijo | (not config.backtracking))
+            if passed.size:
+                params, loss = trials[passed[0]], losses[passed[0]]
+                reach = min(stack.start + passed[0] + 2, rates.size)
+                break
         return ([float(np.sqrt(loss))],)
 
     # The carried loss is state too: the Armijo test compares against it.

@@ -5,11 +5,15 @@ time propagation, the observables that network readouts measure, and the
 closed-form entanglement of formation. All operations are pure functions;
 hbar = 1 throughout.
 
-There is one propagator, propagators: it turns a stack of schedules, one
-parameter vector per row, into their unitaries with one batched
-eigendecomposition of every slice Hamiltonian. schedule_propagator and
-slice_propagator are one-row calls of it, and reference_propagate is the
-independent RK4 check on all three.
+Propagation is two steps: slice_unitaries turns a stack of slice
+Hamiltonians into their unitaries with one batched eigendecomposition, and
+chain multiplies each schedule's slice list, later slices on the left.
+propagators runs both on a stack of schedules, one parameter vector per
+row; schedule_propagator and slice_propagator are one-row calls of it.
+A caller whose schedules share slices, such as the finite-difference
+gradient, whose shifted schedules each differ from the base in one slice,
+diagonalizes each distinct slice once and chains the shared unitaries.
+reference_propagate is the independent RK4 check on all of them.
 """
 
 from __future__ import annotations
@@ -189,25 +193,41 @@ def build_hamiltonian(coeffs) -> np.ndarray:
     return k_a * X_A + k_b * X_B + eps_a * Z_A + eps_b * Z_B + zeta * ZZ
 
 
+def slice_unitaries(coeffs, dt: float) -> np.ndarray:
+    """Slice unitaries exp(-i H dt) of a stack of slices: (..., 5) ->
+    (..., 4, 4), from one batched eigendecomposition of the real symmetric
+    Hamiltonians. Each unitary comes out bit for bit as it would alone."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive")
+    coeffs = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError("Hamiltonian parameters must be finite")
+    evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
+    phases = np.exp(-1j * dt * evals)[..., None, :]
+    return (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
+
+
+def chain(slices) -> np.ndarray:
+    """Total propagators of stacked slice lists: (n, S, 4, 4) -> (n, 4, 4),
+    later slices applied on the left."""
+    u = slices[:, 0]
+    for s in range(1, slices.shape[1]):
+        u = slices[:, s] @ u
+    return u
+
+
 def propagators(params, dt: float) -> np.ndarray:
     """Total propagators of a stack of schedules: (n, 5 S) -> (n, 4, 4).
 
-    Each row holds S slices of length dt. All n S slice unitaries
-    exp(-i H dt) come from one batched eigendecomposition of the real
-    symmetric Hamiltonians; each schedule's product applies later slices on
-    the left.
+    Each row holds S slices of length dt: the n S slice unitaries, then
+    each row's chain.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be positive")
     params = np.asarray(params, dtype=float)
-    coeffs = params.reshape(len(params), -1, 5)
-    evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
-    phases = np.exp(-1j * dt * evals)[..., None, :]
-    slices = (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
-    u = slices[:, 0]
-    for s in range(1, coeffs.shape[1]):
-        u = slices[:, s] @ u
-    return u
+    if params.ndim != 2 or not params.size or params.shape[1] % 5:
+        raise ValidationError(
+            "parameter stack must be 2-D with a positive multiple of 5 columns"
+        )
+    return chain(slice_unitaries(params.reshape(len(params), -1, 5), dt))
 
 
 def slice_propagator(params: SliceParams, dt: float) -> np.ndarray:

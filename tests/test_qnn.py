@@ -195,10 +195,13 @@ class TestGradient:
         "readout", [qnn.CORRELATION, qnn.basis_projector(1, 2)], ids=["zz", "projector"]
     )
     def test_stacked_gradient_equals_one_schedule_differences(
-        self, n_slices, batch_size, scale, readout
+        self, n_slices, batch_size, scale, readout, monkeypatch
     ):
         # gradient evaluates all shifted schedules as one stack; each entry
         # must be the central difference of two one-schedule batch losses.
+        # The shifted schedules share their unchanged slices, so one
+        # eigendecomposition covers the S base slices and the 10 S shifted
+        # ones.
         rng = np.random.default_rng(10 * n_slices + batch_size)
         params = scale * rng.uniform(-1.0, 1.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(params, 1.0)
@@ -218,7 +221,16 @@ class TestGradient:
             up[p] += h
             down[p] -= h
             expected[p] = (loss(up) - loss(down)) / (2.0 * h)
-        assert np.array_equal(qnn.gradient(schedule, batch, h, readout), expected)
+        eigh, sizes = np.linalg.eigh, []
+
+        def counted(matrices, *args, **kwargs):
+            sizes.append(int(np.prod(np.shape(matrices)[:-2])))
+            return eigh(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        stacked = qnn.gradient(schedule, batch, h, readout)
+        assert sizes == [11 * n_slices]
+        assert np.array_equal(stacked, expected)
 
     def test_rejects_empty_batch_and_bad_step(self):
         schedule = zero_schedule()
@@ -325,18 +337,30 @@ class TestTrain:
         # defaults runs all 2000 epochs and halves the rate about 18 times
         # per epoch. Seed 0 converges in a few dozen epochs, some of which
         # take the full rate and some of which halve it.
-        calls = []
-        train = qnn.train
+        calls, stacks = [], []
+        train, gradient, losses = qnn.train, qnn.gradient, qnn._losses
 
         def recorded(trainset, config, initial_schedule, readout=qnn.CORRELATION):
             result = train(trainset, config, initial_schedule, readout)
             calls.append((trainset, config, initial_schedule, result))
             return result
 
-        monkeypatch.setattr(qnn, "train", recorded)
-        runner.run_experiment(
-            runner.ExperimentConfig("entanglement", nets=("qnn",), seeds=(seed,))
-        )
+        def epoch_gradient(*args):
+            stacks.append([])
+            return gradient(*args)
+
+        def candidate_losses(stack, *args):
+            if stacks:  # not the initial loss
+                stacks[-1].append(len(stack))
+            return losses(stack, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qnn, "train", recorded)
+            patch.setattr(qnn, "gradient", epoch_gradient)
+            patch.setattr(qnn, "_losses", candidate_losses)
+            runner.run_experiment(
+                runner.ExperimentConfig("entanglement", nets=("qnn",), seeds=(seed,))
+            )
         [(pairs, config, start, result)] = calls
         assert config.backtracking
         params, history, rejected = sequential_armijo(pairs, start, config, True)
@@ -346,6 +370,22 @@ class TestTrain:
             assert 0 in rejected and max(rejected) > 0
         assert result.rms_history == history
         assert np.array_equal(result.schedule.as_array(), params)
+        # Both runs converge or end at a fixed point, so the epochs that ran
+        # are the first ones. Each scores a first stack of candidates, from
+        # the full rate through one past the index the last epoch took, and
+        # the rest only if that stack holds no passing rate. The rate it
+        # takes, index rejected[e], lies in the last stack scored: the
+        # stacks reach it and none is scored after it. An epoch that takes
+        # no rate scores all of them.
+        assert 0 < len(stacks) <= len(history)
+        reach, candidates = 1, qnn.MAX_HALVINGS + 1
+        for sizes, taken in zip(stacks, rejected):
+            assert sizes[0] == reach and len(sizes) in (1, 2)
+            if taken == candidates:
+                assert sum(sizes) == candidates
+            else:
+                assert sum(sizes[:-1]) <= taken < sum(sizes)
+                reach = min(taken + 2, candidates)
 
     def test_line_search_that_finds_no_step_leaves_the_schedule(self):
         pairs = [tasks.witness_encode_qnn(p) for p in tasks.witness_dataset(4, 0)]
@@ -400,6 +440,14 @@ class TestValidation:
         skew[0, 1] = 1.0
         with pytest.raises(ValidationError):
             qnn.Readout(skew)
+        # A nan or inf entry is no observable, though it slips past the
+        # Hermitian tolerance (nan > tol is False).
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in ((0, 0), (1, 2)):
+                obs = np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)
+                obs[at] = obs[at[::-1]] = bad
+                with pytest.raises(ValidationError, match="finite"):
+                    qnn.Readout(obs)
 
     def test_basis_projector_rejects_out_of_range_index(self):
         with pytest.raises(ValidationError):

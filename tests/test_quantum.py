@@ -390,3 +390,22 @@ def test_propagators_reject_a_bad_slice_length():
     for dt in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             propagators(np.zeros((1, 5)), dt)
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.zeros((0, 5)), np.zeros((2, 7)), np.zeros(5), np.zeros((2, 5, 1))],
+    ids=["no-rows", "seven-columns", "one-dimensional", "three-dimensional"],
+)
+def test_propagators_reject_a_stack_that_is_not_whole_slices(stack):
+    with pytest.raises(ValidationError, match="multiple of 5"):
+        propagators(stack, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagators_reject_non_finite_parameters(bad):
+    # Any nan or inf entry fails the whole stack, as it fails a SliceParams.
+    stack = np.zeros((3, 10))
+    stack[1, 7] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        propagators(stack, 0.5)
