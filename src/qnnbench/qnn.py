@@ -34,7 +34,8 @@ and chains the shared slice unitaries. The epoch's candidate steps (the
 learning rate and, for the line search, its MAX_HALVINGS halvings) take at
 most two stacks: the first runs through one past the rate the previous
 epoch took, where the line search mostly lands, and the rest are scored
-only when none of those passes.
+only when none of those passes. train, gradient and batch_loss check a
+batch in one place.
 """
 
 from dataclasses import dataclass
@@ -158,20 +159,29 @@ def _mse(us, rhos, targets, readout) -> np.ndarray:
     return np.mean((_outputs(us, rhos, readout) - targets) ** 2, axis=1)
 
 
-def _losses(stack, total_time, rhos, targets, readout) -> np.ndarray:
-    """Batch mean squared errors of a stack of parameter vectors:
-    (n, 5 S) -> (n,)."""
-    us = propagators(stack, total_time / (stack.shape[1] // 5))
-    return _mse(us, rhos, targets, readout)
+def _losses(stack, dt, rhos, targets, readout) -> np.ndarray:
+    """Batch mean squared errors of n schedules of dt slices: (n, 5 S) -> (n,)."""
+    return _mse(propagators(stack, dt), rhos, targets, readout)
+
+
+def _batch(batch: Sequence[TrainPair]) -> Tuple[np.ndarray, np.ndarray]:
+    """Density matrices (n, 4, 4) and targets (n,) of a nonempty batch whose
+    targets lie in [0, 1], the range of every readout: the one batch check."""
+    if not batch:
+        raise ValidationError("a qnn batch must be nonempty")
+    targets = np.array([t for _, t in batch], dtype=float)
+    if not all(0.0 <= t <= 1.0 for t in targets.tolist()):  # False for nan, inf
+        if not np.all(np.isfinite(targets)):
+            raise ValidationError("training targets must be finite")
+        raise ValidationError("training targets must lie in the readout's [0, 1]")
+    return states_to_rhos([s for s, _ in batch]), targets
 
 
 def batch_loss(batch: Sequence[TrainPair], schedule, readout=CORRELATION) -> float:
-    if not batch:
-        raise ValidationError("batch_loss needs a nonempty batch")
-    rhos = states_to_rhos([s for s, _ in batch])
-    targets = np.array([t for _, t in batch], dtype=float)
+    """Mean squared error of the schedule's readouts on a batch checked by _batch."""
+    rhos, targets = _batch(batch)
     stack = schedule.as_array()[None]
-    return float(_losses(stack, schedule.total_time, rhos, targets, readout)[0])
+    return float(_losses(stack, schedule.dt, rhos, targets, readout)[0])
 
 
 def gradient(
@@ -185,13 +195,11 @@ def gradient(
     The 2 P shifted schedules (p + h, p - h for each parameter p) are
     evaluated as one stack. Each differs from the base schedule in the one
     slice that holds p, so the S base slices and the 2 P changed ones are
-    diagonalized in one call and shared among the rows."""
-    if not batch:
-        raise ValidationError("gradient needs a nonempty batch")
+    diagonalized in one call and shared among the rows. train and batch_loss
+    check the batch the same way."""
+    rhos, targets = _batch(batch)
     if not 0 < fd_step <= MAX_FD_STEP:
         raise ValidationError(f"fd_step must lie in (0, {MAX_FD_STEP}]")
-    rhos = states_to_rhos([s for s, _ in batch])
-    targets = np.array([t for _, t in batch], dtype=float)
     base = schedule.as_array().reshape(-1, 5)
     n_slices = len(base)
     # Row 0 of each slice is its base; rows 1 + 2 k and 2 + 2 k shift its
@@ -231,18 +239,11 @@ def train(
     evaluates one gradient stack and at most two stacks of candidates: the
     rates through one past the index the previous epoch took (the first
     rate alone in the first epoch), then, only if none of those passes, the
-    rest. Targets must lie in [0, 1], the range of every readout."""
-    if not trainset:
-        raise ValidationError("cannot train on an empty set")
-    rhos = states_to_rhos([s for s, _ in trainset])
-    targets = np.array([t for _, t in trainset], dtype=float)
-    if not np.all(np.isfinite(targets)):
-        raise ValidationError("training targets must be finite")
-    if not np.all((targets >= 0.0) & (targets <= 1.0)):
-        raise ValidationError("training targets must lie in the readout's [0, 1]")
+    rest. The trainset is checked as gradient and batch_loss check a batch."""
+    rhos, targets = _batch(trainset)
     params = initial_schedule.as_array()
-    total_time = initial_schedule.total_time
-    loss = _losses(params[None], total_time, rhos, targets, readout)[0]
+    total_time, dt = initial_schedule.total_time, initial_schedule.dt
+    loss = _losses(params[None], dt, rhos, targets, readout)[0]
     candidates = MAX_HALVINGS + 1 if config.backtracking else 1
     rates = config.learning_rate / 2.0 ** np.arange(candidates)
     # Candidates in the first stack: through one past the rate the last
@@ -258,7 +259,7 @@ def train(
             trials = params - rates[stack, None] * step
             if not len(trials):
                 break
-            losses = _losses(trials, total_time, rhos, targets, readout)
+            losses = _losses(trials, dt, rhos, targets, readout)
             # A loop trying one rate at a time would take the first that passes.
             armijo = losses <= loss - decrease[stack]
             passed = np.flatnonzero(armijo | (not config.backtracking))

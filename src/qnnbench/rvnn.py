@@ -29,7 +29,7 @@ Pair = Tuple[np.ndarray, np.ndarray]
 def sigmoid(t):
     e = np.exp(-np.abs(t))
     d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
+    return np.where(t >= 0, 1.0, e) / d
 
 
 @dataclass

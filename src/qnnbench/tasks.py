@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cvnn, qnn
 from .errors import DatasetFormatError, DatasetIntegrityError, ValidationError
-from .quantum import PureState, eof_pure
+from .quantum import PureState, eof_pure, pure_to_density
 
 BIT_ROWS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -294,8 +294,6 @@ def witness_testset(n: int, seed: int) -> List[WitnessPair]:
 def witness_encode_rvnn(pair: WitnessPair):
     """The 16 density-matrix entries, flattened; real parts only, which loses
     nothing here because witness states carry no phases."""
-    from .quantum import pure_to_density
-
     entries = pure_to_density(pair.state).entries.real.reshape(-1)
     return entries, np.array([pair.target])
 

@@ -60,6 +60,22 @@ def sequential_armijo(pairs, start, config, per_epoch=False):
     return params, history, rejected if per_epoch else sum(rejected)
 
 
+# The three entries that take a training batch, each called on one batch
+# and returning finite numbers when it accepts it (train its RMS history).
+BATCH_ENTRIES = {
+    "train": lambda pairs, cfg: qnn.train(pairs, cfg, zero_schedule()).rms_history,
+    "gradient": lambda pairs, cfg: qnn.gradient(zero_schedule(), pairs),
+    "batch_loss": lambda pairs, cfg: qnn.batch_loss(pairs, zero_schedule()),
+}
+
+
+def witness_pairs_with_target(target):
+    """Four witness pairs, the third with its target replaced."""
+    pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
+    pairs[2] = (pairs[2][0], target)
+    return pairs
+
+
 def correlation_output(state, schedule):
     """The default readout of one state, through the batch path."""
     return float(qnn.batch_outputs(qnn.states_to_rhos([state]), schedule)[0])
@@ -232,10 +248,8 @@ class TestGradient:
         assert sizes == [11 * n_slices]
         assert np.array_equal(stacked, expected)
 
-    def test_rejects_empty_batch_and_bad_step(self):
+    def test_rejects_a_bad_step(self):
         schedule = zero_schedule()
-        with pytest.raises(ValidationError):
-            qnn.gradient(schedule, [])
         batch = [(BASIS_00, 1.0)]
         for step in (0.0, -1e-3, 2e-2):
             with pytest.raises(ValidationError):
@@ -399,12 +413,17 @@ class TestTrain:
 
     def test_non_finite_parameters_are_rejected(self):
         # The stacked loss keeps the check each SliceParams made: any row
-        # with a nan or inf entry fails the whole evaluation.
+        # with a nan or inf entry fails the whole evaluation. The second
+        # argument is the slice length.
         rhos = qnn.states_to_rhos([BASIS_00])
         for bad in (np.nan, np.inf, -np.inf):
             stack = np.zeros((3, 10))
             stack[1, 7] = bad
             with pytest.raises(ValidationError, match="finite"):
+                qnn._losses(stack, 1.0, rhos, np.ones(1), qnn.CORRELATION)
+        # A stack that is not whole slices fails the same check.
+        for stack in (np.zeros((2, 3)), np.zeros(5)):
+            with pytest.raises(ValidationError, match="multiple of 5"):
                 qnn._losses(stack, 1.0, rhos, np.ones(1), qnn.CORRELATION)
         # A trial step that overflows stops training the same way: at this
         # length the gradient exceeds 1, so the step overflows to inf.
@@ -412,11 +431,6 @@ class TestTrain:
         config = qnn.QnnConfig(learning_rate=1e308, max_epochs=1)
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
             qnn.train(pairs, config, qnn.random_schedule(1, 50.0, 0))
-
-    def test_rejects_empty_trainset(self):
-        config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)
-        with pytest.raises(ValidationError):
-            qnn.train([], config, zero_schedule())
 
 
 # ---------------------------------------------------------------------------
@@ -467,29 +481,32 @@ class TestValidation:
         with pytest.raises(ValidationError, match="learning rate"):
             qnn.QnnConfig(learning_rate=rate, max_epochs=3)
 
+    @pytest.mark.parametrize("entry", BATCH_ENTRIES)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_train_rejects_non_finite_targets(self, bad):
-        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
-        pairs[2] = (pairs[2][0], bad)
+    def test_batch_entries_reject_non_finite_targets(self, bad, entry):
+        pairs = witness_pairs_with_target(bad)
         config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)
         with pytest.raises(ValidationError, match="targets must be finite"):
-            qnn.train(pairs, config, zero_schedule())
+            BATCH_ENTRIES[entry](pairs, config)
 
+    @pytest.mark.parametrize("entry", BATCH_ENTRIES)
     @pytest.mark.parametrize("bad", [3.0, -0.1])
-    def test_train_rejects_targets_outside_the_readout_range(self, bad):
-        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
-        pairs[2] = (pairs[2][0], bad)
+    def test_batch_entries_reject_targets_outside_the_readout_range(self, bad, entry):
+        pairs = witness_pairs_with_target(bad)
         config = qnn.QnnConfig(learning_rate=8.0, max_epochs=50, backtracking=True)
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-            qnn.train(pairs, config, zero_schedule())
+            BATCH_ENTRIES[entry](pairs, config)
 
+    @pytest.mark.parametrize("entry", BATCH_ENTRIES)
     @pytest.mark.parametrize("edge", [0.0, 1.0])
-    def test_train_accepts_targets_at_the_readout_bounds(self, edge):
-        pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
-        pairs[2] = (pairs[2][0], edge)
+    def test_batch_entries_accept_targets_at_the_readout_bounds(self, edge, entry):
+        pairs = witness_pairs_with_target(edge)
         config = qnn.QnnConfig(learning_rate=1.0, max_epochs=2)
-        assert qnn.train(pairs, config, zero_schedule()).epochs_used >= 1
+        out = BATCH_ENTRIES[entry](pairs, config)
+        assert np.size(out) >= 1 and np.all(np.isfinite(out))
 
-    def test_batch_loss_rejects_an_empty_batch(self):
+    @pytest.mark.parametrize("entry", BATCH_ENTRIES)
+    def test_batch_entries_reject_an_empty_batch(self, entry):
+        config = qnn.QnnConfig(learning_rate=1.0, max_epochs=10)
         with pytest.raises(ValidationError, match="nonempty"):
-            qnn.batch_loss([], zero_schedule())
+            BATCH_ENTRIES[entry]([], config)

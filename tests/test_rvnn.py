@@ -50,6 +50,19 @@ def test_forward_bounded_and_deterministic():
     assert np.all((out1 > 0) & (out1 < 1))
 
 
+def test_sigmoid_matches_the_two_divide_form_bit_for_bit():
+    # Both branches of the stable logistic divide by the same 1 + e, so
+    # dividing once after the select changes no bit.
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.0, -745.0,
+             1e308, -1e308, 5e-324, -5e-324]
+    t = np.concatenate([rng.normal(scale=30.0, size=10**6), edges])
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    oracle = np.where(t >= 0, 1.0 / d, e / d)
+    assert np.array_equal(rvnn.sigmoid(t).view(np.uint64), oracle.view(np.uint64))
+
+
 def test_forward_rejects_wrong_length():
     net = zeros_stack((3, 2))
     with pytest.raises(ValidationError):
