@@ -59,7 +59,7 @@ def _load_config_file(path: str) -> dict:
             payload = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ValidationError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ValidationError("config file must hold a JSON object")

@@ -1,7 +1,8 @@
 """Quantum network: a trainable Hamiltonian schedule read out by measurement.
 
 The forward pass, batch_outputs, propagates a stack of two-qubit density
-matrices through the piecewise-constant schedule and measures each one
+matrices, the (n, 4, 4) arrays quantum.states_to_rhos builds from pure
+states, through the piecewise-constant schedule and measures each one
 through a Readout. The default readout is the
 squared two-qubit correlation Tr(rho ZZ)^2; tasks may substitute any Hermitian
 observable, optionally unsquared, through a Readout value. A projector readout
@@ -52,8 +53,9 @@ from .quantum import (
     propagators,
     schedule_propagator,
     slice_unitaries,
+    states_to_rhos,
 )
-from .training import check_stop_rule, is_count, is_real, run_epochs
+from .training import check_positive, check_stop_rule, is_count, run_epochs
 
 MAX_FD_STEP = 1e-2
 DEFAULT_FD_STEP = 1e-3
@@ -81,9 +83,7 @@ class QnnConfig:
     backtracking: bool = False
 
     def __post_init__(self):
-        rate = self.learning_rate
-        if not (is_real(rate) and np.isfinite(rate) and rate > 0):
-            raise ValidationError("learning rate must be a positive real number")
+        check_positive(self.learning_rate, "learning rate")
         check_stop_rule(self.rms_target, self.max_epochs)
         if not isinstance(self.backtracking, bool):
             raise ValidationError("backtracking must be a bool")
@@ -132,14 +132,6 @@ def random_schedule(n_slices: int, total_time: float, rng) -> HamiltonianSchedul
     return HamiltonianSchedule.from_array(
         rng.uniform(-1.0, 1.0, 5 * n_slices), total_time
     )
-
-
-def states_to_rhos(states: Sequence[PureState]) -> np.ndarray:
-    """|psi><psi| of each validated PureState, (n, 4, 4): Hermitian, unit
-    trace and PSD by construction, so unlike pure_to_density, whose output it
-    matches bit for bit, it skips the DensityMatrix check."""
-    k = np.array([s.ket() for s in states])
-    return k[:, :, None] * k[:, None, :].conj()
 
 
 def batch_outputs(rhos, schedule, readout: Readout = CORRELATION) -> np.ndarray:

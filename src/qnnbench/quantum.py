@@ -5,6 +5,12 @@ time propagation, the observables that network readouts measure, and the
 closed-form entanglement of formation. All operations are pure functions;
 hbar = 1 throughout.
 
+A density matrix is a complex (4, 4) array, a stack of them (n, 4, 4). The
+program builds every one as |psi><psi| of a validated PureState through
+states_to_rhos (pure_to_density is its one-state case). PureState holds its
+squared norm to TRACE_TOL of 1, so each is Hermitian and positive
+semidefinite with unit trace by construction, and nothing re-checks it.
+
 Propagation is two steps: slice_unitaries turns a stack of slice
 Hamiltonians into their unitaries with one batched eigendecomposition, and
 chain multiplies each schedule's slice list, later slices on the left.
@@ -20,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .training import check_positive
 
 # Pauli operators; qubit A is the left tensor factor, basis order
 # |00>, |01>, |10>, |11>.
@@ -37,9 +45,7 @@ Z_A = np.kron(PAULI_Z, IDENTITY_2)
 Z_B = np.kron(IDENTITY_2, PAULI_Z)
 ZZ = np.kron(PAULI_Z, PAULI_Z)
 
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-PSD_TOL = -1e-10
 
 DEFAULT_TOTAL_TIME = 1.0
 
@@ -98,29 +104,6 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """4x4 complex Hermitian unit-trace positive-semidefinite matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValidationError(f"density matrix must be 4x4, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValidationError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValidationError("density matrix trace differs from 1")
-        if np.min(np.linalg.eigvalsh(m)) < PSD_TOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    def purity(self):
-        return float(np.trace(self.entries @ self.entries).real)
-
-
-@dataclass(frozen=True)
 class SliceParams:
     """Hamiltonian parameters held constant over one time slice.
 
@@ -153,8 +136,7 @@ class HamiltonianSchedule:
         object.__setattr__(self, "slices", tuple(self.slices))
         if len(self.slices) < 1:
             raise ValidationError("schedule needs at least one slice")
-        if not (math.isfinite(self.total_time) and self.total_time > 0):
-            raise ValidationError("total_time must be positive")
+        check_positive(self.total_time, "total_time")
 
     @property
     def dt(self):
@@ -175,10 +157,15 @@ class HamiltonianSchedule:
         return cls(slices, total_time)
 
 
-def pure_to_density(state: PureState) -> DensityMatrix:
-    """Outer product |psi><psi| of a pure state."""
-    psi = state.ket()
-    return DensityMatrix(np.outer(psi, psi.conj()))
+def states_to_rhos(states: Sequence[PureState]) -> np.ndarray:
+    """Density matrices |psi><psi| of a sequence of PureStates, (n, 4, 4)."""
+    k = np.array([s.ket() for s in states])
+    return k[:, :, None] * k[:, None, :].conj()
+
+
+def pure_to_density(state: PureState) -> np.ndarray:
+    """Density matrix |psi><psi| of one PureState, (4, 4)."""
+    return states_to_rhos([state])[0]
 
 
 def build_hamiltonian(coeffs) -> np.ndarray:
@@ -240,25 +227,19 @@ def schedule_propagator(schedule: HamiltonianSchedule) -> np.ndarray:
     return propagators(schedule.as_array()[None], schedule.dt)[0]
 
 
-def propagate(rho: DensityMatrix, schedule: HamiltonianSchedule) -> DensityMatrix:
-    """Evolve a density matrix through the full schedule: U rho U^dagger."""
-    u = schedule_propagator(schedule)
-    return DensityMatrix(u @ rho.entries @ u.conj().T)
-
-
 def reference_propagate(
-    rho: DensityMatrix, schedule: HamiltonianSchedule, substeps: int = 400
+    rho: np.ndarray, schedule: HamiltonianSchedule, substeps: int = 400
 ) -> np.ndarray:
-    """Slow reference evolution: RK4 on d(rho)/dt = -i[H, rho].
+    """Slow reference evolution of a (4, 4) density matrix: RK4 on
+    d(rho)/dt = -i[H, rho].
 
     Deliberately avoids the eigendecomposition route so it can serve as an
-    independent cross-check of `propagate`. The equation is linear, so one
+    independent cross-check of U rho U^dagger with U = schedule_propagator. The equation is linear, so one
     four-stage RK4 step of size k is the matrix I + S + S^2/2 + S^3/6 + S^4/24
     with S = -i k (H (x) I - I (x) H^T) acting on the row-major vec(rho); each
-    slice builds that map once and applies it `substeps` times. Returns a
-    bare matrix.
+    slice builds that map once and applies it `substeps` times.
     """
-    m = np.array(rho.entries, dtype=complex).ravel()
+    m = np.array(rho, dtype=complex).ravel()
     eye = np.eye(4)
     step = schedule.dt / substeps
     for params in schedule.slices:

@@ -40,7 +40,7 @@ from .reporting import (
     onehot_rule,
     rms_percent,
 )
-from .training import is_count, is_real
+from .training import check_positive, check_stop_rule, is_count, is_real
 
 EXPERIMENTS = ("gates", "iris", "entanglement")
 
@@ -75,8 +75,8 @@ WITNESS_TEST_SIZE = 25
 
 
 def _valid_param(key: str, value) -> bool:
-    """Whether a net_params value has its default's type; the nets check the
-    ranges of the real-valued ones."""
+    """Whether a net_params value has its default's type; the ranges of the
+    real-valued ones are the nets' own checks."""
     if key == "backtracking":
         return isinstance(value, bool)
     if key in ("hidden", "max_epochs", "slices"):
@@ -145,6 +145,13 @@ class ExperimentConfig:
                     raise ValidationError(f"{net} does not accept parameter {key!r}")
                 if not _valid_param(key, value):
                     raise ValidationError(f"{net} {key} cannot be {value!r}")
+            params = self.resolved(net)
+            check_stop_rule(params["rms_target"], params["max_epochs"])
+            if "learning_rate" in params:
+                zero_ok = net == "rvnn"  # a no-op rvnn epoch stays expressible
+                check_positive(params["learning_rate"], f"{net} learning rate", zero_ok)
+            if "t_f" in params:
+                check_positive(params["t_f"], f"{net} t_f")
 
     def resolved(self, net: str) -> Dict[str, object]:
         params = dict(DEFAULTS[self.experiment][net])

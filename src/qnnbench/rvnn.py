@@ -9,21 +9,20 @@ forward pass before its update, so a zero learning rate reports exactly the
 static error of the starting weights. Epochs repeat under the stop rule
 shared by all three nets (qnnbench.training). pair_gradients, the same step
 for one net and one pair, stays as the reference the lockstep step is
-tested against.
+tested against, and is itself checked against finite differences of one
+pair's loss.
 
 All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
 """
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .training import is_real, run_epochs
-
-Pair = Tuple[np.ndarray, np.ndarray]
+from .training import check_positive, run_epochs
 
 
 def sigmoid(t):
@@ -55,9 +54,7 @@ class RealLayerStack:
                 raise ValidationError(f"layer {k}: non-finite parameters")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
                 raise ValidationError(f"layer {k}: input width breaks the chain")
-        rate = self.learning_rate
-        if not (is_real(rate) and np.isfinite(rate) and rate >= 0):
-            raise ValidationError("learning rate must be a finite real number >= 0")
+        check_positive(self.learning_rate, "learning rate", allow_zero=True)
 
     @property
     def sizes(self):
@@ -100,27 +97,6 @@ def pair_gradients(net: RealLayerStack, x, t):
     grad_w.reverse()
     grad_b.reverse()
     return grad_w, grad_b, acts[-1]
-
-
-def batch_loss(net: RealLayerStack, pairs: Sequence[Pair]) -> float:
-    total = 0.0
-    for x, t in pairs:
-        out = forward(net, x)
-        total += 0.5 * float(np.sum((out - np.asarray(t, dtype=float)) ** 2))
-    return total
-
-
-def batch_gradients(net: RealLayerStack, pairs: Sequence[Pair]):
-    """Summed analytic gradients over a batch, without touching the net."""
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    for x, t in pairs:
-        gw, gb, _ = pair_gradients(net, x, np.asarray(t, dtype=float))
-        for acc, g in zip(grad_w, gw):
-            acc += g
-        for acc, g in zip(grad_b, gb):
-            acc += g
-    return grad_w, grad_b
 
 
 class TrainResult(NamedTuple):

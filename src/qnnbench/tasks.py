@@ -138,8 +138,11 @@ def _parse_species(raw: str, line_no: int) -> str:
 def load_iris(path=None) -> List[IrisRecord]:
     """Parse the Iris CSV (header optional) and check the canonical totals."""
     source = bundled_iris_path() if path is None else path
-    with open(source, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(source, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"not UTF-8 text: {exc}")
     records = []
     seen_content = False
     for line_no, raw in enumerate(lines, start=1):
@@ -294,7 +297,7 @@ def witness_testset(n: int, seed: int) -> List[WitnessPair]:
 def witness_encode_rvnn(pair: WitnessPair):
     """The 16 density-matrix entries, flattened; real parts only, which loses
     nothing here because witness states carry no phases."""
-    entries = pure_to_density(pair.state).entries.real.reshape(-1)
+    entries = pure_to_density(pair.state).real.reshape(-1)
     return entries, np.array([pair.target])
 
 

@@ -24,6 +24,7 @@ rule, snapshot and records, and a trial leaves the batch as soon as its
 stop rule fires. A single trial is the one-row case.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -39,6 +40,14 @@ def is_count(value) -> bool:
 def is_real(value) -> bool:
     """Whether value is a real number (Python or numpy), bools excluded."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_positive(value, name: str, allow_zero: bool = False) -> None:
+    """A learning rate or a time span is a finite real number, bools excluded,
+    above 0, or at least 0 where allow_zero."""
+    if not (is_real(value) and math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValidationError(f"{name} must be a finite real number {bound}")
 
 
 def check_stop_rule(rms_target, max_epochs) -> None:

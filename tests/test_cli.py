@@ -271,6 +271,24 @@ class TestMain:
         assert code == 1
         assert "species" in capsys.readouterr().err
 
+    def test_non_utf8_iris_csv_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "iris.csv"
+        path.write_bytes(b"\xff5.1,3.5,1.4,0.2,setosa\n")
+        code = main(
+            ["iris", "--nets", "qnn", "--seeds", "0", "--iris-csv", str(path)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_config_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seeds": [0], "nets": ["qnn\xff"]}')
+        code = main(["entanglement", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["gates", "--definitely-not-a-flag"])

@@ -7,13 +7,11 @@ from qnnbench import qnn
 from qnnbench.errors import ValidationError
 from qnnbench.quantum import (
     HamiltonianSchedule,
-    DensityMatrix,
     PureState,
     SliceParams,
     ZZ,
     build_hamiltonian,
     eof_pure,
-    propagate,
     pure_to_density,
     propagators,
     reference_propagate,
@@ -36,30 +34,40 @@ def random_schedule(rng, n_slices=4, total_time=1.0, scale=2.0):
     )
 
 
+def propagate(rho, schedule):
+    """Evolve a density matrix through the full schedule: U rho U^dagger."""
+    u = schedule_propagator(schedule)
+    return u @ rho @ u.conj().T
+
+
+def purity(rho):
+    return np.trace(rho @ rho).real
+
+
 # ---------------------------------------------------------------------------
-# PureState / DensityMatrix construction
+# PureState / density matrix construction
 # ---------------------------------------------------------------------------
 
 def test_pure_to_density_basis_projector():
     rho = pure_to_density(PureState(1.0, 0.0, 0.0, 0.0))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
-    assert np.allclose(rho.entries, expected, atol=1e-15)
+    assert np.allclose(rho, expected, atol=1e-15)
 
 
 def test_pure_to_density_bell_corners():
     rho = pure_to_density(PureState(INV_SQRT2, 0.0, 0.0, INV_SQRT2))
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
-        assert rho.entries[i, j] == pytest.approx(0.5, abs=1e-12)
-    assert rho.entries[1, 1] == 0.0
+        assert rho[i, j] == pytest.approx(0.5, abs=1e-12)
+    assert rho[1, 1] == 0.0
 
 
 def test_pure_to_density_phase():
     # Hand outer product: psi = (1, i)/sqrt(2) on the first two basis states,
     # so rho[0,1] = psi0 * conj(psi1) = -i/2.
     rho = pure_to_density(PureState(INV_SQRT2, INV_SQRT2, 0.0, 0.0, theta1=math.pi / 2))
-    assert rho.entries[0, 1] == pytest.approx(-0.5j, abs=1e-12)
-    assert rho.entries[1, 0] == pytest.approx(0.5j, abs=1e-12)
+    assert rho[0, 1] == pytest.approx(-0.5j, abs=1e-12)
+    assert rho[1, 0] == pytest.approx(0.5j, abs=1e-12)
 
 
 def test_pure_state_rejects_unnormalized():
@@ -68,8 +76,9 @@ def test_pure_state_rejects_unnormalized():
 
 
 def test_pure_state_norm_is_held_to_the_density_trace_tolerance():
-    # A squared norm off by 5e-10 would make a density matrix whose trace
-    # DensityMatrix rejects, so the state itself is rejected.
+    # A squared norm off by 5e-10 would make a density matrix whose trace is
+    # off by as much; |psi><psi| is trusted unchecked because the state
+    # itself is rejected.
     with pytest.raises(ValidationError):
         PureState(math.sqrt(1 + 5e-10), 0.0, 0.0, 0.0)
 
@@ -83,20 +92,7 @@ def test_purity_of_pure_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
         rho = pure_to_density(random_state(rng))
-        assert abs(rho.purity() - 1.0) < 1e-10
-
-
-def test_density_matrix_rejects_bad_inputs():
-    with pytest.raises(ValidationError):
-        DensityMatrix(np.eye(4))  # trace 4
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0  # not Hermitian
-    m[0, 0] = 1.0
-    with pytest.raises(ValidationError):
-        DensityMatrix(m)
-    m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)  # negative eigenvalue
-    with pytest.raises(ValidationError):
-        DensityMatrix(m)
+        assert abs(purity(rho) - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +138,16 @@ def test_propagate_identity_for_zero_hamiltonian():
     rho = pure_to_density(random_state(rng))
     schedule = HamiltonianSchedule((SliceParams(0, 0, 0, 0, 0),) * 3, 2.0)
     out = propagate(rho, schedule)
-    assert np.allclose(out.entries, rho.entries, atol=1e-12)
+    assert np.allclose(out, rho, atol=1e-12)
 
 
 def test_propagate_diagonal_commutes():
-    rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     schedule = HamiltonianSchedule(
         (SliceParams(0, 0, 0.7, -1.1, 0.5), SliceParams(0, 0, -0.2, 0.9, 1.3)), 1.5
     )
     out = propagate(rho, schedule)
-    assert np.allclose(out.entries, rho.entries, atol=1e-12)
+    assert np.allclose(out, rho, atol=1e-12)
 
 
 def test_propagate_single_tunneling_slice():
@@ -160,9 +156,9 @@ def test_propagate_single_tunneling_slice():
     for t in (0.3, 0.7, 1.9):
         schedule = HamiltonianSchedule((SliceParams(1.0, 0, 0, 0, 0),), t)
         out = propagate(rho0, schedule)
-        assert out.entries[0, 0].real == pytest.approx(math.cos(t) ** 2, abs=1e-12)
+        assert out[0, 0].real == pytest.approx(math.cos(t) ** 2, abs=1e-12)
         oracle = reference_propagate(rho0, schedule)
-        assert np.max(np.abs(out.entries - oracle)) < 1e-8
+        assert np.max(np.abs(out - oracle)) < 1e-8
 
 
 def test_empty_schedule_rejected():
@@ -181,11 +177,10 @@ def test_propagation_conserves_trace_hermiticity_purity():
     rng = np.random.default_rng(5)
     for _ in range(50):
         rho = pure_to_density(random_state(rng))
-        out = propagate(rho, random_schedule(rng))
-        m = out.entries
+        m = propagate(rho, random_schedule(rng))
         assert abs(np.trace(m).real - 1.0) < 1e-10
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        assert abs(out.purity() - 1.0) < 1e-10
+        assert abs(purity(m) - 1.0) < 1e-10
 
 
 def test_propagation_composes():
@@ -199,7 +194,7 @@ def test_propagation_composes():
             propagate(rho, HamiltonianSchedule((a,), 0.5)),
             HamiltonianSchedule((b,), 0.5),
         )
-        assert np.max(np.abs(joint.entries - stepped.entries)) < 1e-10
+        assert np.max(np.abs(joint - stepped)) < 1e-10
 
 
 def test_propagate_matches_reference_integrator():
@@ -209,12 +204,12 @@ def test_propagate_matches_reference_integrator():
         schedule = random_schedule(rng, n_slices=int(rng.integers(1, 5)))
         fast = propagate(rho, schedule)
         slow = reference_propagate(rho, schedule)
-        assert np.max(np.abs(fast.entries - slow)) < 1e-6
+        assert np.max(np.abs(fast - slow)) < 1e-6
 
 
 def four_stage_rk4(rho, schedule, substeps):
     """The textbook four-stage RK4 loop on d(rho)/dt = -i[H, rho]."""
-    m = np.array(rho.entries, dtype=complex)
+    m = np.array(rho, dtype=complex)
     step = schedule.dt / substeps
     for params in schedule.slices:
         h = build_hamiltonian(params.as_tuple()).astype(complex)
@@ -250,7 +245,7 @@ def test_reference_integrator_converges_at_fourth_order():
     for _ in range(6):
         rho = pure_to_density(random_state(rng))
         schedule = random_schedule(rng, n_slices=int(rng.integers(1, 6)))
-        exact = propagate(rho, schedule).entries
+        exact = propagate(rho, schedule)
         coarse, fine = (
             np.max(np.abs(reference_propagate(rho, schedule, n) - exact)) for n in (40, 80)
         )
@@ -263,7 +258,7 @@ def test_reference_integrator_converges_at_fourth_order():
 
 def correlation_squared(rho):
     """The squared-correlation readout of one density matrix."""
-    return float(qnn.CORRELATION.values(rho.entries[None])[0])
+    return float(qnn.CORRELATION.values(rho[None])[0])
 
 
 def test_correlation_squared_basis_state():
@@ -350,11 +345,11 @@ def test_correlation_after_propagation_is_quadratic_form():
 
     train = [random_state(rng, zero_phases=True) for _ in range(50)]
     test = [random_state(rng, zero_phases=True) for _ in range(50)]
-    x_train = np.array([quadratic_features(pure_to_density(s).entries) for s in train])
+    x_train = np.array([quadratic_features(pure_to_density(s)) for s in train])
     y_train = np.array([output(s) for s in train])
     coeffs, *_ = np.linalg.lstsq(x_train, y_train, rcond=None)
     for s in test:
-        pred = quadratic_features(pure_to_density(s).entries) @ coeffs
+        pred = quadratic_features(pure_to_density(s)) @ coeffs
         assert pred == pytest.approx(output(s), abs=1e-8)
 
 
@@ -382,7 +377,7 @@ def test_stacked_propagators_equal_the_one_schedule_propagator():
             assert np.array_equal(u, schedule_propagator(schedule))
             if n_slices > 1:
                 rho = pure_to_density(random_state(rng))
-                evolved = u @ rho.entries @ u.conj().T
+                evolved = u @ rho @ u.conj().T
                 assert np.max(np.abs(evolved - reference_propagate(rho, schedule))) < 1e-9
 
 

@@ -117,6 +117,14 @@ class TestConfig:
             ("rvnn", "learning_rate", "0.5"),
             ("qnn", "rms_target", None),
             ("qnn", "t_f", False),
+            ("qnn", "learning_rate", -1.0),
+            ("qnn", "learning_rate", 0.0),
+            ("qnn", "learning_rate", float("nan")),
+            ("rvnn", "learning_rate", -0.5),
+            ("cvnn", "rms_target", 1.5),
+            ("qnn", "rms_target", 0.0),
+            ("qnn", "t_f", -1.0),
+            ("qnn", "t_f", float("inf")),
         ],
     )
     def test_rejects_a_net_param_of_the_wrong_type(self, net, key, value):
@@ -133,6 +141,13 @@ class TestConfig:
             },
         )
         assert config.resolved("rvnn")["hidden"] is None
+
+    def test_accepts_a_zero_rvnn_learning_rate(self):
+        # A zero rate keeps a no-op rvnn epoch expressible; the qnn needs > 0.
+        config = ExperimentConfig(experiment="iris", net_params={"rvnn": {"learning_rate": 0}})
+        assert config.resolved("rvnn")["learning_rate"] == 0
+        with pytest.raises(ValidationError, match="qnn learning rate"):
+            ExperimentConfig(experiment="iris", net_params={"qnn": {"learning_rate": 0}})
 
     def test_resolved_merges_overrides_onto_defaults(self):
         config = ExperimentConfig(
