@@ -2,14 +2,15 @@
 
 Every experiment runs through one trial pipeline. The task drivers
 (run_gates, run_iris, run_entanglement) only build a table's trials, each a
-net, a seed and its TrialData. run_trials is one loop over groups, a group
-being the trials that one step call trains: a table's rvnn trials train
-together in one call of rvnn.train_lockstep, and each cvnn or qnn trial is
-a group of its own, trained by cvnn.train_to_threshold or qnn.train. Every
-group draws its trials' init RNGs, builds and trains the nets, predicts
-(n, outputs) real arrays and scores them. The steps look up these entry
-points on their modules at every call, so a replacement installed there is
-what runs.
+net, a seed and its TrialData. run_trials builds every net in this process
+and hands a table's rvnn trials, as one group, to one spawned worker that
+runs rvnn.train_lockstep, while it trains each cvnn and qnn trial by
+cvnn.train_to_threshold or qnn.train; it then collects the rvnn group and
+predicts and scores every trial. rvnn.random_stack and the cvnn and qnn
+entry points are looked up on their modules at every call, so a
+replacement installed there is what runs; the worker imports rvnn afresh,
+and the main module too, so a script that runs rvnn trials keeps its entry
+code under an `if __name__ == "__main__":` guard.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
@@ -21,9 +22,10 @@ network initialization, further split by net and task variant.
 Wall-clock timing is off by default so that repeated runs of the same
 config serialize to identical bytes; pass timing=True to record how long
 each trial takes to build, train and score its net (for an rvnn trial, its
-equal share of the lockstep's build and train time).
+equal share of the lockstep's train time, measured in the worker).
 """
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -189,45 +191,22 @@ def _init_stream(net, seed, data):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-# Per-net steps: each builds and trains the nets of one group of (data, rng,
-# seed) trials and returns, per trial, its train result and a predict
-# function from encoded inputs to an (n, outputs) real array. A net named in
-# _LOCKSTEP_NETS takes all of a table's trials as one group; any other net
-# takes one trial.
-_LOCKSTEP_NETS = ("rvnn",)
-
-
-def _rvnn_step(params, trials):
-    nets = [
-        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
-        for data, rng, _ in trials
-    ]
-    results = rvnn.train_lockstep(
-        nets,
-        [data.train for data, _, _ in trials],
-        params["rms_target"],
-        params["max_epochs"],
-    )
-    return [
-        (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
-        for result in results
-    ]
-
-
-def _cvnn_step(params, trials):
-    [(data, rng, _)] = trials
+# The cvnn and qnn steps build and train the net of one (data, rng, seed) trial
+# and return its result and a predict function to (n, outputs) real arrays.
+def _cvnn_step(params, trial):
+    data, rng, _ = trial
     readout = data.readout or cvnn.unmap
     stack = cvnn.random_stack(_layer_sizes(params, data.train), rng)
     result = cvnn.train_to_threshold(
         stack, data.train, params["rms_target"], params["max_epochs"], readout=readout
     )
-    return [(result, lambda xs: np.array(
+    return result, lambda xs: np.array(
         [[readout(z) for z in cvnn.forward(result.net, x)] for x in xs]
-    ))]
+    )
 
 
-def _qnn_step(params, trials):
-    [(data, rng, seed)] = trials
+def _qnn_step(params, trial):
+    data, rng, seed = trial
     readout = data.readout or qnn.CORRELATION
     schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
     config = qnn.QnnConfig(
@@ -238,16 +217,74 @@ def _qnn_step(params, trials):
         backtracking=params["backtracking"],
     )
     result = qnn.train(data.train, config, schedule, readout=readout)
-    return [(result, lambda states: qnn.batch_outputs(
+    return result, lambda states: qnn.batch_outputs(
         qnn.states_to_rhos(states), result.schedule, readout
-    )[:, None])]
+    )[:, None]
 
 
-_NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
+_NET_STEPS = {"cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
-def _report(config, params, trial, result, predict, start):
-    """Predict and score one trained trial; its wall time runs from start."""
+def _train_rvnn(sender, nets, pair_sets, params):
+    """The rvnn worker: sends back rvnn.train_lockstep's results, each RMS history
+    a float64 array, and its seconds; or its exception and traceback text."""
+    with sender:
+        start = time.perf_counter()
+        try:
+            results = rvnn.train_lockstep(nets, pair_sets, params["rms_target"], params["max_epochs"])
+        except Exception as exc:
+            import traceback
+            sender.send((exc, traceback.format_exc()))
+            return
+        results = [r._replace(rms_history=np.array(r.rms_history)) for r in results]
+        sender.send((results, time.perf_counter() - start))
+
+
+@contextlib.contextmanager
+def _rvnn_worker(params, trials):
+    """Build the nets of any rvnn (data, rng, seed) trials and start one spawned
+    worker that trains them; yields a function that waits for [(result,
+    predict)] and the train seconds. Leaving stops the worker if it runs."""
+    if not trials:
+        yield lambda: ([], 0.0)
+        return
+    import multiprocessing
+    nets = [
+        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
+        for data, rng, _ in trials
+    ]
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    pair_sets = [data.train for data, _, _ in trials]
+    worker = context.Process(target=_train_rvnn, args=(sender, nets, pair_sets, params))
+
+    def collect():
+        try:
+            payload, extra = receiver.recv()
+        except EOFError:
+            raise RuntimeError("the rvnn worker exited without sending results") from None
+        worker.join()
+        if isinstance(payload, Exception):
+            raise payload from RuntimeError(f"raised in the rvnn worker:\n{extra}")
+        return [
+            (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
+            for result in payload
+        ], extra
+
+    with receiver:
+        with sender:
+            worker.start()
+        try:
+            yield collect
+        finally:
+            if worker.exitcode is None:
+                worker.terminate()
+            worker.join()
+
+
+def _report(config, trial, result, predict, train_s):
+    """Predict and score one trial trained in train_s seconds."""
+    start = time.perf_counter() - train_s
     net, seed, data = trial
     train_outs = predict([x for x, _ in data.train])
     train_rms = rms_percent(train_outs, data.train_targets)
@@ -268,31 +305,30 @@ def _report(config, params, trial, result, predict, start):
         test_rms_pct=test_rms,
         accuracy_pct=accuracy,
         wall_time_ms=1000.0 * (time.perf_counter() - start) if config.timing else 0.0,
-        hyperparameters=params,
+        hyperparameters=config.resolved(net),
     )
 
 
 def run_trials(config: ExperimentConfig, trials) -> List[RunReport]:
     """Build, train, predict and score (net, seed, data) trials; returns
-    their RunReports in the order given. The trials run in groups, one step
-    call each: first all the trials of each net in _LOCKSTEP_NETS, then one
-    group per other trial, in report order. With timing on, each trial is
-    charged an equal share of its group's build and train time, plus its
-    own scoring."""
-    groups = [[i for i, t in enumerate(trials) if t[0] == net] for net in _LOCKSTEP_NETS]
-    groups += [[i] for i, t in enumerate(trials) if t[0] not in _LOCKSTEP_NETS]
+    their RunReports in the order given. The rvnn trials go first, as one
+    group to one spawned worker, which is stopped before this returns; this
+    process trains each cvnn and qnn trial in report order, then collects
+    the rvnn group. With timing on, each trial is charged its build and
+    train time (an rvnn trial, an equal share of the worker's train time),
+    plus its own scoring."""
     reports = [None] * len(trials)
-    for group in filter(None, groups):
-        net = trials[group[0]][0]
-        params = config.resolved(net)
-        start = time.perf_counter()
-        trained = _NET_STEPS[net](
-            params, [(trials[i][2], _init_stream(*trials[i]), trials[i][1]) for i in group]
-        )
-        share = (time.perf_counter() - start) / len(group)
-        for i, (result, predict) in zip(group, trained):
-            start = time.perf_counter() - share
-            reports[i] = _report(config, params, trials[i], result, predict, start)
+    rvnn_group = [i for i, t in enumerate(trials) if t[0] == "rvnn"]
+    members = [(data, _init_stream(net, seed, data), seed) for net, seed, data in trials]
+    with _rvnn_worker(config.resolved("rvnn"), [members[i] for i in rvnn_group]) as collect:
+        for i, (net, _, _) in enumerate(trials):
+            if net != "rvnn":
+                start = time.perf_counter()
+                trained = _NET_STEPS[net](config.resolved(net), members[i])
+                reports[i] = _report(config, trials[i], *trained, time.perf_counter() - start)
+        trained, train_s = collect()
+        for i, (result, predict) in zip(rvnn_group, trained):
+            reports[i] = _report(config, trials[i], result, predict, train_s / len(rvnn_group))
     return reports
 
 

@@ -45,7 +45,11 @@ def is_real(value) -> bool:
 def check_positive(value, name: str, allow_zero: bool = False) -> None:
     """A learning rate or a time span is a finite real number, bools excluded,
     above 0, or at least 0 where allow_zero."""
-    if not (is_real(value) and math.isfinite(value) and (value >= 0 if allow_zero else value > 0)):
+    try:
+        finite = is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not (finite and (value >= 0 if allow_zero else value > 0)):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValidationError(f"{name} must be a finite real number {bound}")
 

@@ -240,6 +240,8 @@ class TestMain:
             {"iris_path": 2.5},
             {"iris_path": 0},
             {"nets": ["foo"]},
+            {"net_params": {"qnn": {"learning_rate": 10**400}}},
+            {"net_params": {"qnn": {"t_f": 10**400}}},
         ],
         ids=[
             "fractional-train-size",
@@ -253,6 +255,8 @@ class TestMain:
             "float-iris-path",
             "int-iris-path",
             "bad-value-overridden-by-a-flag",
+            "learning-rate-too-large-for-a-float",
+            "t-f-too-large-for-a-float",
         ],
     )
     def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):

@@ -1,11 +1,14 @@
 """Every function under src/qnnbench is reached by a run of the program, or
 is named below with the reason it stays.
 
-One subprocess installs a profiler hook before it imports qnnbench, so calls
-made at import time count, then drives the command line through short
-versions of all three experiments and one run on a malformed Iris CSV. A
-function that no run reaches and that is not named here is either dead or
-wants its reason written down."""
+One subprocess drives the command line through short versions of all three
+experiments and one run on a malformed Iris CSV. A sitecustomize module on
+its PYTHONPATH installs a profiler hook in every interpreter that starts,
+before anything imports qnnbench, so calls made at import time count and
+the rvnn worker each table spawns is traced too; each interpreter writes
+the qnnbench functions it called when it exits. A function that no run
+reaches and that is not named here is either dead or wants its reason
+written down."""
 
 import ast
 import json
@@ -35,8 +38,8 @@ UNREACHED = {
     "quantum.slice_propagator",
 }
 
-TRACER = """
-import json, os, sys
+SITECUSTOMIZE = """
+import atexit, json, os, sys
 
 called = set()
 
@@ -45,13 +48,24 @@ def hook(frame, event, arg):
         code = frame.f_code
         called.add((os.path.realpath(code.co_filename), code.co_firstlineno))
 
+def dump():
+    sys.setprofile(None)
+    mine = sorted(c for c in called if c[0].startswith({package!r} + os.sep))
+    if mine:
+        with open(os.path.join({out!r}, f"called-{{os.getpid()}}.json"), "w") as handle:
+            json.dump(mine, handle)
+
 sys.setprofile(hook)
+atexit.register(dump)
+"""
+
+DRIVER = """
+import json, sys
 from qnnbench import cli
 
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-sys.setprofile(None)
 with open(sys.argv[2], "w") as handle:
-    json.dump({"codes": codes, "called": sorted(called)}, handle)
+    json.dump(codes, handle)
 """
 
 
@@ -97,17 +111,25 @@ def test_every_function_is_reached_by_a_run_or_named(tmp_path):
         ["entanglement", *common, "--seeds", "0", "--timing"],
         ["iris", "--nets", "qnn", "--iris-csv", str(bad_csv)],
     ]
-    out = tmp_path / "called.json"
+    hooks, out = tmp_path / "hooks", tmp_path / "called"
+    hooks.mkdir()
+    out.mkdir()
+    (hooks / "sitecustomize.py").write_text(
+        SITECUSTOMIZE.format(package=os.path.realpath(PACKAGE), out=str(out))
+    )
+    codes = tmp_path / "codes.json"
     subprocess.run(
-        [sys.executable, "-c", TRACER, json.dumps(runs), str(out)],
-        env=dict(os.environ, PYTHONPATH=SRC),
+        [sys.executable, "-c", DRIVER, json.dumps(runs), str(codes)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(hooks), SRC])),
         check=True,
         capture_output=True,
         timeout=300,
     )
-    traced = json.loads(out.read_text())
-    assert traced["codes"] == [0, 0, 0, 1]
-    called = {tuple(pair) for pair in traced["called"]}
+    assert json.loads(codes.read_text()) == [0, 0, 0, 1]
+    # This process and one rvnn worker for each of the three tables.
+    files = sorted(out.iterdir())
+    assert len(files) == 4
+    called = {tuple(pair) for path in files for pair in json.loads(path.read_text())}
     defs = _defs()
     unreached = sorted(name for key, name in defs.items() if key not in called)
     assert sorted(UNREACHED - set(defs.values())) == [], "named functions that are gone"

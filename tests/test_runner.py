@@ -2,18 +2,25 @@
 and end-to-end determinism. Trials here use small budgets; the full-size
 runs live in the acceptance suite."""
 
+import multiprocessing
+import signal
+import time
+
+import numpy as np
 import pytest
 
-from qnnbench import cvnn, qnn, rvnn
+from qnnbench import cvnn, qnn, runner, rvnn
 from qnnbench.errors import ValidationError
 from qnnbench.reporting import reports_to_csv
 from qnnbench.runner import (
     DEFAULTS,
     ExperimentConfig,
+    TrialData,
     run_entanglement,
     run_experiment,
     run_gates,
     run_iris,
+    run_trials,
 )
 
 
@@ -312,8 +319,12 @@ class TestTrialPipeline:
     def test_entry_points_are_looked_up_at_call_time(
         self, monkeypatch, experiment, seeds, train_size
     ):
+        # rvnn.train_lockstep runs in a spawned worker, which no replacement
+        # made here reaches: what this process does for the rvnn trials is
+        # build their nets and hand them over as one group.
         calls = []
-        _counting(monkeypatch, rvnn, "train_lockstep", calls, "rvnn")
+        _counting(monkeypatch, rvnn, "random_stack", calls, "rvnn.build")
+        _counting(monkeypatch, runner, "_rvnn_worker", calls, "rvnn")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         _counting(monkeypatch, qnn, "train", calls, "qnn")
         config = ExperimentConfig(
@@ -323,13 +334,15 @@ class TestTrialPipeline:
             net_params=self.TINY,
         )
         reports = run_experiment(config)
-        # One lockstep call trains every rvnn trial of the table, first;
-        # the cvnn and qnn trials follow one call each, in report order.
-        assert calls[0][0] == "rvnn"
-        assert len(calls[0][1][0]) == sum(r.net == "rvnn" for r in reports)
+        # One group holds every rvnn trial and is handed over first, its
+        # nets built as it is; the cvnn and qnn trials follow one call
+        # each, in report order.
+        n_rvnn = sum(r.net == "rvnn" for r in reports)
+        assert [net for net, _, _ in calls[: n_rvnn + 1]] == ["rvnn"] + n_rvnn * ["rvnn.build"]
+        assert len(calls[0][1][1]) == n_rvnn
         singles = [r for r in reports if r.net != "rvnn"]
-        assert [net for net, _, _ in calls[1:]] == [r.net for r in singles]
-        for (net, args, _), report in zip(calls[1:], singles):
+        assert [net for net, _, _ in calls[n_rvnn + 1 :]] == [r.net for r in singles]
+        for (net, args, _), report in zip(calls[n_rvnn + 1 :], singles):
             if net == "qnn":
                 assert args[1].seed == report.seed
 
@@ -340,7 +353,7 @@ class TestTrialPipeline:
     )
     def test_hidden_none_trains_a_single_layer_net(self, monkeypatch, experiment, sizes):
         calls = []
-        _counting(monkeypatch, rvnn, "train_lockstep", calls, "rvnn")
+        _counting(monkeypatch, rvnn, "random_stack", calls, "rvnn")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         config = ExperimentConfig(
             experiment=experiment,
@@ -355,4 +368,92 @@ class TestTrialPipeline:
         assert [r.net for r in reports] == ["rvnn", "cvnn"]
         assert all(r.test_rms_pct is not None for r in reports)
         built = {net: args[0] for net, args, _ in calls}
-        assert {"rvnn": built["rvnn"][0].sizes, "cvnn": built["cvnn"].sizes} == sizes
+        assert {"rvnn": tuple(built["rvnn"]), "cvnn": built["cvnn"].sizes} == sizes
+
+
+@pytest.fixture
+def worker_guard():
+    """Fail a test that waits on the rvnn worker for over two minutes, and
+    check afterwards that no child process is left."""
+
+    def expire(signum, frame):
+        raise TimeoutError("waited on the rvnn worker for over 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+class TestRvnnWorker:
+    def test_a_worker_error_reaches_the_caller_with_its_type(self, worker_guard):
+        data = TrialData("gates:AND", [([float("nan"), 0.0], [1.0])], [[1.0]])
+        config = ExperimentConfig(experiment="gates", nets=("rvnn",))
+        with pytest.raises(ValidationError, match="net 0, pair 0: non-finite input or target") as err:
+            run_trials(config, [("rvnn", 0, data)])
+        # The worker's traceback comes along as the cause.
+        assert "train_lockstep" in str(err.value.__cause__)
+
+    def test_an_error_in_this_process_stops_the_worker(self, monkeypatch, worker_guard):
+        # The iris rvnn at its defaults trains for tens of seconds, so the
+        # worker is still running when the qnn trial fails.
+        def broken(*args, **kwargs):
+            raise RuntimeError("qnn failed")
+
+        monkeypatch.setattr(qnn, "train", broken)
+        config = ExperimentConfig(experiment="iris", nets=("rvnn", "qnn"), seeds=(2,))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="qnn failed"):
+            run_iris(config)
+        assert time.perf_counter() - start < 20.0
+
+    def test_rvnn_rows_match_an_in_process_lockstep_run(self, monkeypatch, worker_guard):
+        # Single-layer XOR and XNOR nets cannot converge and reach a cycle,
+        # so their RMS histories come out of the cycle fast-forward.
+        trained = []
+        report = runner._report
+
+        def recorded(config, trial, result, predict, train_s):
+            if trial[0] == "rvnn":
+                trained.append((trial, result))
+            return report(config, trial, result, predict, train_s)
+
+        monkeypatch.setattr(runner, "_report", recorded)
+        config = ExperimentConfig(
+            experiment="gates",
+            seeds=(0, 1),
+            net_params={
+                "rvnn": {"max_epochs": 3_000},
+                "cvnn": {"max_epochs": 20},
+                "qnn": {"max_epochs": 20},
+            },
+        )
+        reports = run_gates(config)
+        assert [r.net for r in reports].count("rvnn") == len(trained) == 12
+        params = config.resolved("rvnn")
+        nets = [
+            rvnn.random_stack(
+                runner._layer_sizes(params, trial[2].train),
+                params["learning_rate"],
+                runner._init_stream(*trial),
+            )
+            for trial, _ in trained
+        ]
+        direct = rvnn.train_lockstep(
+            nets,
+            [trial[2].train for trial, _ in trained],
+            params["rms_target"],
+            params["max_epochs"],
+        )
+        assert not all(r.converged for r in direct)
+        for (_, result), alone in zip(trained, direct):
+            assert (result.epochs_used, result.converged) == (alone.epochs_used, alone.converged)
+            assert result.rms_history.dtype == np.float64
+            assert result.rms_history.tobytes() == np.array(alone.rms_history).tobytes()
+            assert [p.tobytes() for p in result.net.weights + result.net.biases] == [
+                p.tobytes() for p in alone.net.weights + alone.net.biases
+            ]
