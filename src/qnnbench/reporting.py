@@ -150,60 +150,38 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _markdown_table(rows) -> str:
-    """rows: list of per-net aggregate dicts for one experiment label."""
-    header = (
-        "| net | trials | converged | median epochs "
-        "| train RMS % | test RMS % | accuracy % |"
-    )
-    rule = "|---|---|---|---|---|---|---|"
-    out = [header, rule]
-    for row in rows:
-        out.append(
-            "| {net} | {trials} | {conv} | {epochs} | {train} | {test} | {acc} |".format(
-                net=row["net"],
-                trials=row["trials"],
-                conv=f"{row['n_converged']}/{row['trials']}",
-                epochs=_fmt(row["median_epochs"], 1),
-                train=_fmt(row["mean_train"], 2),
-                test=_fmt(row["mean_test"], 2) or "-",
-                acc=_fmt(row["mean_acc"], 2) or "-",
-            )
-        )
-    return "\n".join(out)
-
-
 def reports_to_markdown(reports: Sequence[RunReport]) -> str:
     """One table per experiment label; rows aggregate a net's seeds with
     median epochs and mean RMS/accuracy, mirroring one-number-per-cell
     summary tables."""
     if not reports:
         raise ValidationError("no reports to emit")
-    ordered = _sorted_reports(reports)
-    blocks = []
     by_experiment = {}
-    for r in ordered:
+    for r in _sorted_reports(reports):
         by_experiment.setdefault(r.experiment, []).append(r)
+    blocks = []
     for experiment, group in by_experiment.items():
-        rows = []
+        lines = [
+            "| net | trials | converged | median epochs | train RMS % | test RMS % | accuracy % |",
+            "|---|---|---|---|---|---|---|",
+        ]
         for net in NET_NAMES:
             runs = [r for r in group if r.net == net]
             if not runs:
                 continue
             tests = [r.test_rms_pct for r in runs if r.test_rms_pct is not None]
             accs = [r.accuracy_pct for r in runs if r.accuracy_pct is not None]
-            rows.append(
-                {
-                    "net": net,
-                    "trials": len(runs),
-                    "n_converged": sum(1 for r in runs if r.converged),
-                    "median_epochs": statistics.median(r.epochs_used for r in runs),
-                    "mean_train": statistics.mean(r.train_rms_pct for r in runs),
-                    "mean_test": statistics.mean(tests) if tests else None,
-                    "mean_acc": statistics.mean(accs) if accs else None,
-                }
+            cells = (
+                net,
+                str(len(runs)),
+                f"{sum(1 for r in runs if r.converged)}/{len(runs)}",
+                _fmt(statistics.median(r.epochs_used for r in runs), 1),
+                _fmt(statistics.mean(r.train_rms_pct for r in runs), 2),
+                _fmt(statistics.mean(tests), 2) if tests else "-",
+                _fmt(statistics.mean(accs), 2) if accs else "-",
             )
-        blocks.append(f"## {experiment}\n\n" + _markdown_table(rows))
+            lines.append("| " + " | ".join(cells) + " |")
+        blocks.append(f"## {experiment}\n\n" + "\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 
 

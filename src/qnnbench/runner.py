@@ -2,15 +2,15 @@
 
 Every experiment runs through one trial pipeline. The task drivers
 (run_gates, run_iris, run_entanglement) only build a table's trials, each a
-net, a seed and its TrialData. run_trials builds every net in this process
-and hands a table's rvnn trials, as one group, to one spawned worker that
-runs rvnn.train_lockstep, while it trains each cvnn and qnn trial by
-cvnn.train_to_threshold or qnn.train; it then collects the rvnn group and
-predicts and scores every trial. rvnn.random_stack and the cvnn and qnn
-entry points are looked up on their modules at every call, so a
-replacement installed there is what runs; the worker imports rvnn afresh,
-and the main module too, so a script that runs rvnn trials keeps its entry
-code under an `if __name__ == "__main__":` guard.
+net, a seed and its TrialData. _run_group builds, trains, predicts and
+scores a group of trials by one call of its net's step. A table's rvnn
+trials are one group, trained by rvnn.train_lockstep in one spawned worker
+that sends back their RunReports; meanwhile this process runs each cvnn and
+qnn trial as a group of one. The cvnn and qnn entry points are looked up on
+their modules at every call, so a replacement installed there is what runs.
+The worker imports the modules afresh, and the main module too, so a script
+that runs rvnn trials keeps its entry code under an
+`if __name__ == "__main__":` guard.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
@@ -20,9 +20,8 @@ and 3 (witness test set) live in the tasks module; this module adds 4 for
 network initialization, further split by net and task variant.
 
 Wall-clock timing is off by default so that repeated runs of the same
-config serialize to identical bytes; pass timing=True to record how long
-each trial takes to build, train and score its net (for an rvnn trial, its
-equal share of the lockstep's train time, measured in the worker).
+config serialize to identical bytes; pass timing=True to charge each trial
+an equal share of its group's build and train time, plus its own scoring.
 """
 
 import contextlib
@@ -191,22 +190,36 @@ def _init_stream(net, seed, data):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-# The cvnn and qnn steps build and train the net of one (data, rng, seed) trial
-# and return its result and a predict function to (n, outputs) real arrays.
-def _cvnn_step(params, trial):
-    data, rng, _ = trial
+# Per-net steps: each builds and trains the nets of a list of (data, rng, seed)
+# trials and returns, per trial, its train result and a predict function to
+# (n, outputs) real arrays. Only the rvnn step takes more than one trial.
+def _rvnn_step(params, trials):
+    nets = [
+        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
+        for data, rng, _ in trials
+    ]
+    pair_sets = [data.train for data, _, _ in trials]
+    results = rvnn.train_lockstep(nets, pair_sets, params["rms_target"], params["max_epochs"])
+    return [
+        (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
+        for result in results
+    ]
+
+
+def _cvnn_step(params, trials):
+    [(data, rng, _)] = trials
     readout = data.readout or cvnn.unmap
     stack = cvnn.random_stack(_layer_sizes(params, data.train), rng)
     result = cvnn.train_to_threshold(
         stack, data.train, params["rms_target"], params["max_epochs"], readout=readout
     )
-    return result, lambda xs: np.array(
+    return [(result, lambda xs: np.array(
         [[readout(z) for z in cvnn.forward(result.net, x)] for x in xs]
-    )
+    ))]
 
 
-def _qnn_step(params, trial):
-    data, rng, seed = trial
+def _qnn_step(params, trials):
+    [(data, rng, seed)] = trials
     readout = data.readout or qnn.CORRELATION
     schedule = qnn.random_schedule(params["slices"], params["t_f"], rng)
     config = qnn.QnnConfig(
@@ -217,74 +230,16 @@ def _qnn_step(params, trial):
         backtracking=params["backtracking"],
     )
     result = qnn.train(data.train, config, schedule, readout=readout)
-    return result, lambda states: qnn.batch_outputs(
+    return [(result, lambda states: qnn.batch_outputs(
         qnn.states_to_rhos(states), result.schedule, readout
-    )[:, None]
+    )[:, None])]
 
 
-_NET_STEPS = {"cvnn": _cvnn_step, "qnn": _qnn_step}
+_NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
-def _train_rvnn(sender, nets, pair_sets, params):
-    """The rvnn worker: sends back rvnn.train_lockstep's results, each RMS history
-    a float64 array, and its seconds; or its exception and traceback text."""
-    with sender:
-        start = time.perf_counter()
-        try:
-            results = rvnn.train_lockstep(nets, pair_sets, params["rms_target"], params["max_epochs"])
-        except Exception as exc:
-            import traceback
-            sender.send((exc, traceback.format_exc()))
-            return
-        results = [r._replace(rms_history=np.array(r.rms_history)) for r in results]
-        sender.send((results, time.perf_counter() - start))
-
-
-@contextlib.contextmanager
-def _rvnn_worker(params, trials):
-    """Build the nets of any rvnn (data, rng, seed) trials and start one spawned
-    worker that trains them; yields a function that waits for [(result,
-    predict)] and the train seconds. Leaving stops the worker if it runs."""
-    if not trials:
-        yield lambda: ([], 0.0)
-        return
-    import multiprocessing
-    nets = [
-        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
-        for data, rng, _ in trials
-    ]
-    context = multiprocessing.get_context("spawn")
-    receiver, sender = context.Pipe(duplex=False)
-    pair_sets = [data.train for data, _, _ in trials]
-    worker = context.Process(target=_train_rvnn, args=(sender, nets, pair_sets, params))
-
-    def collect():
-        try:
-            payload, extra = receiver.recv()
-        except EOFError:
-            raise RuntimeError("the rvnn worker exited without sending results") from None
-        worker.join()
-        if isinstance(payload, Exception):
-            raise payload from RuntimeError(f"raised in the rvnn worker:\n{extra}")
-        return [
-            (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
-            for result in payload
-        ], extra
-
-    with receiver:
-        with sender:
-            worker.start()
-        try:
-            yield collect
-        finally:
-            if worker.exitcode is None:
-                worker.terminate()
-            worker.join()
-
-
-def _report(config, trial, result, predict, train_s):
-    """Predict and score one trial trained in train_s seconds."""
-    start = time.perf_counter() - train_s
+def _report(config, trial, result, predict, start):
+    """Predict and score one trained trial; its wall time runs from start."""
     net, seed, data = trial
     train_outs = predict([x for x, _ in data.train])
     train_rms = rms_percent(train_outs, data.train_targets)
@@ -309,26 +264,78 @@ def _report(config, trial, result, predict, train_s):
     )
 
 
+def _run_group(config, group):
+    """Build, train, predict and score a group of (net, seed, data) trials of
+    one net by one step call; returns their RunReports."""
+    net = group[0][0]
+    start = time.perf_counter()
+    members = [(data, _init_stream(net, seed, data), seed) for net, seed, data in group]
+    trained = _NET_STEPS[net](config.resolved(net), members)
+    share = (time.perf_counter() - start) / len(group)
+    return [
+        _report(config, trial, result, predict, time.perf_counter() - share)
+        for trial, (result, predict) in zip(group, trained)
+    ]
+
+
+def _group_worker(sender, config, group):
+    """The spawned worker: sends back _run_group's RunReports and None, or
+    its exception and traceback text."""
+    with sender:
+        try:
+            sender.send((_run_group(config, group), None))
+        except Exception as exc:
+            import traceback
+            sender.send((exc, traceback.format_exc()))
+
+
+@contextlib.contextmanager
+def _run_group_in_worker(config, group):
+    """Start one spawned worker that runs _run_group on a group of trials;
+    yields a function that waits for their RunReports. Leaving stops the
+    worker if it runs."""
+    if not group:
+        yield list
+        return
+    import multiprocessing
+    context = multiprocessing.get_context("spawn")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_group_worker, args=(sender, config, group))
+
+    def collect():
+        try:
+            payload, trace = receiver.recv()
+        except EOFError:
+            raise RuntimeError("the worker exited without sending results") from None
+        worker.join()
+        if trace is not None:
+            raise payload from RuntimeError(f"raised in the worker:\n{trace}")
+        return payload
+
+    with receiver:
+        with sender:
+            worker.start()
+        try:
+            yield collect
+        finally:
+            if worker.exitcode is None:
+                worker.terminate()
+            worker.join()
+
+
 def run_trials(config: ExperimentConfig, trials) -> List[RunReport]:
     """Build, train, predict and score (net, seed, data) trials; returns
-    their RunReports in the order given. The rvnn trials go first, as one
-    group to one spawned worker, which is stopped before this returns; this
-    process trains each cvnn and qnn trial in report order, then collects
-    the rvnn group. With timing on, each trial is charged its build and
-    train time (an rvnn trial, an equal share of the worker's train time),
-    plus its own scoring."""
+    their RunReports in the order given. The rvnn group is handed first to
+    the worker, which is stopped before this returns; this process then runs
+    each cvnn and qnn trial in report order."""
     reports = [None] * len(trials)
     rvnn_group = [i for i, t in enumerate(trials) if t[0] == "rvnn"]
-    members = [(data, _init_stream(net, seed, data), seed) for net, seed, data in trials]
-    with _rvnn_worker(config.resolved("rvnn"), [members[i] for i in rvnn_group]) as collect:
-        for i, (net, _, _) in enumerate(trials):
-            if net != "rvnn":
-                start = time.perf_counter()
-                trained = _NET_STEPS[net](config.resolved(net), members[i])
-                reports[i] = _report(config, trials[i], *trained, time.perf_counter() - start)
-        trained, train_s = collect()
-        for i, (result, predict) in zip(rvnn_group, trained):
-            reports[i] = _report(config, trials[i], result, predict, train_s / len(rvnn_group))
+    with _run_group_in_worker(config, [trials[i] for i in rvnn_group]) as collect:
+        for i, trial in enumerate(trials):
+            if trial[0] != "rvnn":
+                [reports[i]] = _run_group(config, [trial])
+        for i, report in zip(rvnn_group, collect()):
+            reports[i] = report
     return reports
 
 
@@ -362,6 +369,11 @@ def _nearest_species_mean(train_species):
     )
 
 
+def _onehot_decision(train_outs):
+    """The classical nets' iris decision rule: one-hot, whatever they output."""
+    return onehot_rule
+
+
 def run_iris(config: ExperimentConfig) -> List[RunReport]:
     """Stratified-split Iris classification for every net and seed. The
     classical nets output one value per species; the qnn's single score picks
@@ -385,7 +397,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
                 encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
                 pairs = [encode(r, bounds) for r in split]
                 targets = onehot
-                rule = lambda outs: onehot_rule
+                rule = _onehot_decision
             data = TrialData(
                 label,
                 pairs[:n_train],

@@ -6,7 +6,6 @@ import multiprocessing
 import signal
 import time
 
-import numpy as np
 import pytest
 
 from qnnbench import cvnn, qnn, runner, rvnn
@@ -319,12 +318,13 @@ class TestTrialPipeline:
     def test_entry_points_are_looked_up_at_call_time(
         self, monkeypatch, experiment, seeds, train_size
     ):
-        # rvnn.train_lockstep runs in a spawned worker, which no replacement
-        # made here reaches: what this process does for the rvnn trials is
-        # build their nets and hand them over as one group.
+        # The rvnn group is built and trained in a spawned worker, which no
+        # replacement made here reaches: what this process does for the rvnn
+        # trials is hand them over as one group.
         calls = []
+        _counting(monkeypatch, runner, "_run_group_in_worker", calls, "rvnn")
         _counting(monkeypatch, rvnn, "random_stack", calls, "rvnn.build")
-        _counting(monkeypatch, runner, "_rvnn_worker", calls, "rvnn")
+        _counting(monkeypatch, rvnn, "train_lockstep", calls, "rvnn.train")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         _counting(monkeypatch, qnn, "train", calls, "qnn")
         config = ExperimentConfig(
@@ -334,15 +334,15 @@ class TestTrialPipeline:
             net_params=self.TINY,
         )
         reports = run_experiment(config)
-        # One group holds every rvnn trial and is handed over first, its
-        # nets built as it is; the cvnn and qnn trials follow one call
-        # each, in report order.
+        # One call holds every rvnn trial and is handed over first; the cvnn
+        # and qnn trials follow one call each, in report order. This process
+        # never builds or trains an rvnn net.
         n_rvnn = sum(r.net == "rvnn" for r in reports)
-        assert [net for net, _, _ in calls[: n_rvnn + 1]] == ["rvnn"] + n_rvnn * ["rvnn.build"]
-        assert len(calls[0][1][1]) == n_rvnn
+        assert calls[0][0] == "rvnn"
+        assert [net for net, _, _ in calls[0][1][1]] == n_rvnn * ["rvnn"]
         singles = [r for r in reports if r.net != "rvnn"]
-        assert [net for net, _, _ in calls[n_rvnn + 1 :]] == [r.net for r in singles]
-        for (net, args, _), report in zip(calls[n_rvnn + 1 :], singles):
+        assert [net for net, _, _ in calls[1:]] == [r.net for r in singles]
+        for (net, args, _), report in zip(calls[1:], singles):
             if net == "qnn":
                 assert args[1].seed == report.seed
 
@@ -352,7 +352,10 @@ class TestTrialPipeline:
          ("entanglement", {"rvnn": (16, 1), "cvnn": (16, 1)})],
     )
     def test_hidden_none_trains_a_single_layer_net(self, monkeypatch, experiment, sizes):
-        calls = []
+        # The rvnn sizes come from the handed-over group, run here through
+        # the same group function the worker runs.
+        handed, calls = [], []
+        _counting(monkeypatch, runner, "_run_group_in_worker", handed, "rvnn")
         _counting(monkeypatch, rvnn, "random_stack", calls, "rvnn")
         _counting(monkeypatch, cvnn, "train_to_threshold", calls, "cvnn")
         config = ExperimentConfig(
@@ -367,14 +370,16 @@ class TestTrialPipeline:
         reports = run_experiment(config)
         assert [r.net for r in reports] == ["rvnn", "cvnn"]
         assert all(r.test_rms_pct is not None for r in reports)
+        [(_, (_, group), _)] = handed
+        assert runner._run_group(config, group) == reports[:1]
         built = {net: args[0] for net, args, _ in calls}
         assert {"rvnn": tuple(built["rvnn"]), "cvnn": built["cvnn"].sizes} == sizes
 
 
 @pytest.fixture
 def worker_guard():
-    """Fail a test that waits on the rvnn worker for over two minutes, and
-    check afterwards that no child process is left."""
+    """Fail a test that waits on the rvnn worker for over two minutes.
+    conftest.py checks afterwards that no child process is left."""
 
     def expire(signum, frame):
         raise TimeoutError("waited on the rvnn worker for over 120 s")
@@ -386,7 +391,6 @@ def worker_guard():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
 
 
 class TestRvnnWorker:
@@ -411,18 +415,29 @@ class TestRvnnWorker:
             run_iris(config)
         assert time.perf_counter() - start < 20.0
 
+    def test_a_worker_that_exits_without_sending_raises(self, monkeypatch, worker_guard):
+        # The iris rvnn at its defaults trains for tens of seconds, so the
+        # worker is still running when the qnn trial kills it.
+        train = qnn.train
+
+        def kill_then_train(*args, **kwargs):
+            [worker] = multiprocessing.active_children()
+            worker.kill()
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(qnn, "train", kill_then_train)
+        config = ExperimentConfig(experiment="iris", nets=("rvnn", "qnn"), seeds=(2,))
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="the worker exited without sending results"):
+            run_iris(config)
+        assert time.perf_counter() - start < 20.0
+        assert multiprocessing.active_children() == []
+
     def test_rvnn_rows_match_an_in_process_lockstep_run(self, monkeypatch, worker_guard):
         # Single-layer XOR and XNOR nets cannot converge and reach a cycle,
         # so their RMS histories come out of the cycle fast-forward.
-        trained = []
-        report = runner._report
-
-        def recorded(config, trial, result, predict, train_s):
-            if trial[0] == "rvnn":
-                trained.append((trial, result))
-            return report(config, trial, result, predict, train_s)
-
-        monkeypatch.setattr(runner, "_report", recorded)
+        handed = []
+        _counting(monkeypatch, runner, "_run_group_in_worker", handed, "rvnn")
         config = ExperimentConfig(
             experiment="gates",
             seeds=(0, 1),
@@ -433,27 +448,8 @@ class TestRvnnWorker:
             },
         )
         reports = run_gates(config)
-        assert [r.net for r in reports].count("rvnn") == len(trained) == 12
-        params = config.resolved("rvnn")
-        nets = [
-            rvnn.random_stack(
-                runner._layer_sizes(params, trial[2].train),
-                params["learning_rate"],
-                runner._init_stream(*trial),
-            )
-            for trial, _ in trained
-        ]
-        direct = rvnn.train_lockstep(
-            nets,
-            [trial[2].train for trial, _ in trained],
-            params["rms_target"],
-            params["max_epochs"],
-        )
+        [(_, (_, group), _)] = handed
+        direct = runner._run_group(config, group)
+        assert len(direct) == 12
         assert not all(r.converged for r in direct)
-        for (_, result), alone in zip(trained, direct):
-            assert (result.epochs_used, result.converged) == (alone.epochs_used, alone.converged)
-            assert result.rms_history.dtype == np.float64
-            assert result.rms_history.tobytes() == np.array(alone.rms_history).tobytes()
-            assert [p.tobytes() for p in result.net.weights + result.net.biases] == [
-                p.tobytes() for p in alone.net.weights + alone.net.biases
-            ]
+        assert [r for r in reports if r.net == "rvnn"] == direct
