@@ -28,15 +28,11 @@ alone.
 
 Losses are evaluated for a stack of parameter vectors at once, each row
 bit for bit as it would come out alone, so the stacking changes no
-trajectory. One numpy pass serves the 10 S shifted schedules of a
-finite-difference gradient; since each differs from the base schedule in
-one slice, it diagonalizes only the S base slices and the 10 S shifted ones
-and chains the shared slice unitaries. The epoch's candidate steps (the
-learning rate and, for the line search, its MAX_HALVINGS halvings) take at
-most two stacks: the first runs through one past the rate the previous
-epoch took, where the line search mostly lands, and the rest are scored
-only when none of those passes. train, gradient and batch_loss check a
-batch in one place.
+trajectory: one stack serves the 10 S shifted schedules of the
+finite-difference gradient, and at most two the epoch's candidate steps
+(see train). train and batch_loss check a batch in one place, _batch, and
+train hands gradient the parameter vector, density matrices and targets it
+prepared once, so no epoch rebuilds a schedule or converts the batch again.
 """
 
 from dataclasses import dataclass
@@ -76,6 +72,10 @@ _SHIFT_UP = 1 + 2 * _PARAM
 
 @dataclass(frozen=True)
 class QnnConfig:
+    """Training settings. train never reads seed: it only lets the bench
+    match each trained schedule to its CSV row, and goes once the bench
+    stops wrapping qnn.train once per trial."""
+
     learning_rate: float
     max_epochs: int
     rms_target: float = 0.01
@@ -177,22 +177,23 @@ def batch_loss(batch: Sequence[TrainPair], schedule, readout=CORRELATION) -> flo
 
 
 def gradient(
-    schedule: HamiltonianSchedule,
-    batch: Sequence[TrainPair],
-    fd_step: float = DEFAULT_FD_STEP,
+    params: np.ndarray,
+    dt: float,
+    rhos: np.ndarray,
+    targets: np.ndarray,
     readout: Readout = CORRELATION,
+    fd_step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Central finite differences of the batch loss over all slice parameters.
+    """Central finite differences of the batch loss over params (5 S,), a
+    schedule of dt slices, on the rhos and targets train prepares by _batch.
 
-    The 2 P shifted schedules (p + h, p - h for each parameter p) are
-    evaluated as one stack. Each differs from the base schedule in the one
-    slice that holds p, so the S base slices and the 2 P changed ones are
-    diagonalized in one call and shared among the rows. train and batch_loss
-    check the batch the same way."""
-    rhos, targets = _batch(batch)
+    The 2 P shifted schedules (p + h, p - h for each parameter p) are one
+    stack. Each differs from the base in the one slice that holds p, so the
+    S base slices and the 2 P changed ones are diagonalized in one
+    slice_unitaries call, which rejects non-finite parameters, and shared."""
     if not 0 < fd_step <= MAX_FD_STEP:
         raise ValidationError(f"fd_step must lie in (0, {MAX_FD_STEP}]")
-    base = schedule.as_array().reshape(-1, 5)
+    base = np.asarray(params, dtype=float).reshape(-1, 5)
     n_slices = len(base)
     # Row 0 of each slice is its base; rows 1 + 2 k and 2 + 2 k shift its
     # parameter k by +h and -h. Shifted schedule 10 s + j is the base
@@ -200,7 +201,7 @@ def gradient(
     coeffs = np.repeat(base[:, None], 11, axis=1)
     coeffs[:, _SHIFT_UP, _PARAM] = base + fd_step
     coeffs[:, _SHIFT_UP + 1, _PARAM] = base - fd_step
-    unitaries = slice_unitaries(coeffs, schedule.dt)
+    unitaries = slice_unitaries(coeffs, dt)
     slices = np.repeat(unitaries[None, :, 0], 10 * n_slices, axis=0)
     own = np.arange(n_slices)
     slices.reshape(n_slices, 10, n_slices, 4, 4)[own, :, own] = unitaries[:, 1:]
@@ -231,7 +232,7 @@ def train(
     evaluates one gradient stack and at most two stacks of candidates: the
     rates through one past the index the previous epoch took (the first
     rate alone in the first epoch), then, only if none of those passes, the
-    rest. The trainset is checked as gradient and batch_loss check a batch."""
+    rest. The trainset is checked and converted once, by _batch."""
     rhos, targets = _batch(trainset)
     params = initial_schedule.as_array()
     total_time, dt = initial_schedule.total_time, initial_schedule.dt
@@ -244,8 +245,7 @@ def train(
 
     def epoch():
         nonlocal params, loss, reach
-        schedule = HamiltonianSchedule.from_array(params, total_time)
-        step = gradient(schedule, trainset, DEFAULT_FD_STEP, readout)
+        step = gradient(params, dt, rhos, targets, readout)
         decrease = ARMIJO_C1 * rates * float(step @ step)
         for stack in (slice(0, reach), slice(reach, rates.size)):
             trials = params - rates[stack, None] * step

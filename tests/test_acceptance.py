@@ -488,9 +488,10 @@ def test_gradient_checks():
         (tasks.sample_pure_state(rng), 0.5),
     ]
     h = 8e-3
-    g1 = qnn.gradient(schedule, batch, fd_step=h)
-    g2 = qnn.gradient(schedule, batch, fd_step=h / 2)
-    g3 = qnn.gradient(schedule, batch, fd_step=h / 4)
+    arrays = (schedule.as_array(), schedule.dt, *qnn._batch(batch))
+    g1 = qnn.gradient(*arrays, fd_step=h)
+    g2 = qnn.gradient(*arrays, fd_step=h / 2)
+    g3 = qnn.gradient(*arrays, fd_step=h / 4)
     ratios = []
     for i in range(g1.size):
         coarse, fine = g1[i] - g2[i], g2[i] - g3[i]

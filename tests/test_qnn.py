@@ -39,10 +39,11 @@ def sequential_armijo(pairs, start, config, per_epoch=False):
 
     params = start.as_array()
     current = loss(params)
+    rhos, targets = qnn._batch(pairs)
     history, rejected = [], []
     for _ in range(config.max_epochs):
         rejected.append(0)
-        step = qnn.gradient(HamiltonianSchedule.from_array(params, total_time), pairs)
+        step = qnn.gradient(params, start.dt, rhos, targets)
         slope = float(step @ step)
         rate = config.learning_rate
         for _ in range(qnn.MAX_HALVINGS + 1):
@@ -59,13 +60,46 @@ def sequential_armijo(pairs, start, config, per_epoch=False):
     return params, history, rejected if per_epoch else sum(rejected)
 
 
-# The three entries that take a training batch, each called on one batch
-# and returning finite numbers when it accepts it (train its RMS history).
+# The three entries that train on or score a training batch, each called on
+# one batch and returning finite numbers when it accepts it (train its RMS
+# history). gradient takes the arrays of a batch that _batch has checked,
+# as train hands them to it.
 BATCH_ENTRIES = {
     "train": lambda pairs, cfg: qnn.train(pairs, cfg, zero_schedule()).rms_history,
-    "gradient": lambda pairs, cfg: qnn.gradient(zero_schedule(), pairs),
+    "gradient": lambda pairs, cfg: qnn.gradient(np.zeros(5), 1.0, *qnn._batch(pairs)),
     "batch_loss": lambda pairs, cfg: qnn.batch_loss(pairs, zero_schedule()),
 }
+
+
+def witness_trial(seed):
+    """The witness qnn trial the runner trains for a seed at the entanglement
+    defaults: its pairs, config, initial schedule and readout."""
+    params = runner.DEFAULTS["entanglement"]["qnn"]
+    pairs = [tasks.witness_encode_qnn(p) for p in tasks.witness_dataset(4, seed)]
+    entropy = (seed, runner.ROLE_NET_INIT, runner.NETS.index("qnn"), 0)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    start = qnn.random_schedule(params["slices"], params["t_f"], rng)
+    config = qnn.QnnConfig(
+        learning_rate=params["learning_rate"],
+        max_epochs=params["max_epochs"],
+        rms_target=params["rms_target"],
+        seed=seed,
+        backtracking=params["backtracking"],
+    )
+    return pairs, config, start, qnn.CORRELATION
+
+
+def xor_trial():
+    """A fixed-step four-slice XOR run under its projector readout."""
+    pairs, readout = tasks.gate_encode_qnn(tasks.gate_dataset("XOR"))
+    start = qnn.random_schedule(4, 1.0, np.random.default_rng(2))
+    return pairs, qnn.QnnConfig(learning_rate=20.0, max_epochs=30), start, readout
+
+
+def schedule_gradient(schedule, batch, fd_step=qnn.DEFAULT_FD_STEP):
+    """The gradient at a schedule on a batch of training pairs."""
+    params, dt = schedule.as_array(), schedule.dt
+    return qnn.gradient(params, dt, *qnn._batch(batch), fd_step=fd_step)
 
 
 def witness_pairs_with_target(target):
@@ -163,15 +197,15 @@ class TestGradient:
         rhos = qnn.states_to_rhos(states)
         outs = qnn.batch_outputs(rhos, schedule)
         batch = list(zip(states, outs))
-        grad = qnn.gradient(schedule, batch, fd_step=3e-5)
+        grad = schedule_gradient(schedule, batch, fd_step=3e-5)
         assert np.max(np.abs(grad)) < 1e-7
 
     def test_duplicating_the_batch_leaves_the_mean_gradient_alone(self):
         rng = np.random.default_rng(8)
         schedule = qnn.random_schedule(2, 1.0, rng)
         batch = [(tasks.sample_pure_state(rng), 0.4), (tasks.sample_pure_state(rng), 0.7)]
-        grad_once = qnn.gradient(schedule, batch)
-        grad_twice = qnn.gradient(schedule, batch + batch)
+        grad_once = schedule_gradient(schedule, batch)
+        grad_twice = schedule_gradient(schedule, batch + batch)
         assert np.allclose(grad_once, grad_twice, atol=1e-12)
 
     def test_points_downhill(self):
@@ -182,7 +216,7 @@ class TestGradient:
             (tasks.sample_pure_state(rng), 0.9),
             (tasks.sample_pure_state(rng), 0.5),
         ]
-        grad = qnn.gradient(schedule, batch)
+        grad = schedule_gradient(schedule, batch)
         assert np.linalg.norm(grad) > 1e-6
         before = qnn.batch_loss(batch, schedule)
         stepped = HamiltonianSchedule.from_array(
@@ -197,9 +231,9 @@ class TestGradient:
         schedule = qnn.random_schedule(1, 1.0, rng)
         batch = [(tasks.sample_pure_state(rng), 0.3), (tasks.sample_pure_state(rng), 0.8)]
         h = 8e-3
-        g_h = qnn.gradient(schedule, batch, fd_step=h)
-        g_h2 = qnn.gradient(schedule, batch, fd_step=h / 2)
-        g_h4 = qnn.gradient(schedule, batch, fd_step=h / 4)
+        g_h = schedule_gradient(schedule, batch, fd_step=h)
+        g_h2 = schedule_gradient(schedule, batch, fd_step=h / 2)
+        g_h4 = schedule_gradient(schedule, batch, fd_step=h / 4)
         checked = 0
         for i in range(g_h.size):
             coarse = g_h[i] - g_h2[i]
@@ -249,8 +283,9 @@ class TestGradient:
             sizes.append(int(np.prod(np.shape(matrices)[:-2])))
             return eigh(matrices, *args, **kwargs)
 
+        rhos, targets = qnn._batch(batch)
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        stacked = qnn.gradient(schedule, batch, h, readout)
+        stacked = qnn.gradient(params, schedule.dt, rhos, targets, readout, h)
         assert sizes == [11 * n_slices]
         assert np.array_equal(stacked, expected)
 
@@ -259,7 +294,7 @@ class TestGradient:
         batch = [(BASIS_00, 1.0)]
         for step in (0.0, -1e-3, 2e-2):
             with pytest.raises(ValidationError):
-                qnn.gradient(schedule, batch, fd_step=step)
+                schedule_gradient(schedule, batch, fd_step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +350,50 @@ class TestTrain:
     def test_fixed_step_is_plain_gradient_descent(self):
         # Without backtracking every epoch takes params -= lr * gradient,
         # bit for bit, overshoot included.
-        pairs, readout = tasks.gate_encode_qnn(tasks.gate_dataset("XOR"))
-        start = qnn.random_schedule(4, 1.0, np.random.default_rng(2))
-        config = qnn.QnnConfig(learning_rate=20.0, max_epochs=30)
+        pairs, config, start, readout = xor_trial()
         result = qnn.train(pairs, config, start, readout=readout)
         params = start.as_array()
+        rhos, targets = qnn._batch(pairs)
         history = []
         for _ in range(result.epochs_used):
-            schedule = HamiltonianSchedule.from_array(params, start.total_time)
             params -= config.learning_rate * qnn.gradient(
-                schedule, pairs, qnn.DEFAULT_FD_STEP, readout
+                params, start.dt, rhos, targets, readout
             )
             schedule = HamiltonianSchedule.from_array(params, start.total_time)
             history.append(float(np.sqrt(qnn.batch_loss(pairs, schedule, readout))))
         assert result.rms_history == history
         assert np.array_equal(result.schedule.as_array(), params)
+
+    @pytest.mark.parametrize(
+        "trial, backtracking, slices, epochs",
+        [(lambda: witness_trial(0), True, 1, 26), (xor_trial, False, 4, 30)],
+        ids=["witness", "xor"],
+    )
+    def test_training_prepares_its_arrays_once(
+        self, trial, backtracking, slices, epochs, monkeypatch
+    ):
+        # train converts its pairs to density matrices once, and builds a
+        # schedule once, to return it: every epoch reuses the same arrays.
+        pairs, config, start, readout = trial()
+        assert config.backtracking == backtracking and len(start.slices) == slices
+        conversions, builds = [0], [0]
+        to_rhos = qnn.states_to_rhos
+        from_array = HamiltonianSchedule.from_array.__func__
+
+        def counted_conversion(states):
+            conversions[0] += 1
+            return to_rhos(states)
+
+        def counted_build(cls, *args, **kwargs):
+            builds[0] += 1
+            return from_array(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qnn, "states_to_rhos", counted_conversion)
+            patch.setattr(HamiltonianSchedule, "from_array", classmethod(counted_build))
+            result = qnn.train(pairs, config, start, readout)
+        assert result.epochs_used == epochs
+        assert (conversions[0], builds[0]) == (1, 1)
 
     def test_backtracking_never_raises_the_training_loss(self):
         # The same start at the same learning rate overshoots under the
@@ -419,14 +483,17 @@ class TestTrain:
 
     def test_non_finite_parameters_are_rejected(self):
         # The stacked loss keeps the check each SliceParams made: any row
-        # with a nan or inf entry fails the whole evaluation. The second
-        # argument is the slice length.
+        # with a nan or inf entry fails the whole evaluation. So does the
+        # gradient, which takes a bare parameter vector that no SliceParams
+        # checks. The second argument is the slice length.
         rhos = qnn.states_to_rhos([BASIS_00])
         for bad in (np.nan, np.inf, -np.inf):
             stack = np.zeros((3, 10))
             stack[1, 7] = bad
             with pytest.raises(ValidationError, match="finite"):
                 qnn._losses(stack, 1.0, rhos, np.ones(1), qnn.CORRELATION)
+            with pytest.raises(ValidationError, match="finite"):
+                qnn.gradient(stack[1], 1.0, rhos, np.ones(1))
         # A stack that is not whole slices fails the same check.
         for stack in (np.zeros((2, 3)), np.zeros(5)):
             with pytest.raises(ValidationError, match="multiple of 5"):
