@@ -45,10 +45,8 @@ from .quantum import (
     HamiltonianSchedule,
     PureState,
     ZZ,
-    chain,
     propagators,
     schedule_propagator,
-    slice_unitaries,
     states_to_rhos,
 )
 from .training import check_positive, check_stop_rule, is_count, run_epochs
@@ -63,11 +61,6 @@ ARMIJO_C1 = 1e-4
 MAX_HALVINGS = 40
 
 TrainPair = Tuple[PureState, float]
-
-# The five parameters of a slice, and the row of its +h shift among the
-# eleven distinct slices the finite-difference gradient diagonalizes.
-_PARAM = np.arange(5)
-_SHIFT_UP = 1 + 2 * _PARAM
 
 
 @dataclass(frozen=True)
@@ -187,25 +180,17 @@ def gradient(
     """Central finite differences of the batch loss over params (5 S,), a
     schedule of dt slices, on the rhos and targets train prepares by _batch.
 
-    The 2 P shifted schedules (p + h, p - h for each parameter p) are one
-    stack. Each differs from the base in the one slice that holds p, so the
-    S base slices and the 2 P changed ones are diagonalized in one
-    slice_unitaries call, which rejects non-finite parameters, and shared."""
+    The 2 P shifted parameter vectors (p + h, p - h for each parameter p)
+    are one propagators stack, which rejects a length that is not a
+    positive multiple of 5 and non-finite parameters."""
     if not 0 < fd_step <= MAX_FD_STEP:
         raise ValidationError(f"fd_step must lie in (0, {MAX_FD_STEP}]")
-    base = np.asarray(params, dtype=float).reshape(-1, 5)
-    n_slices = len(base)
-    # Row 0 of each slice is its base; rows 1 + 2 k and 2 + 2 k shift its
-    # parameter k by +h and -h. Shifted schedule 10 s + j is the base
-    # schedule with slice s replaced by that slice's row 1 + j.
-    coeffs = np.repeat(base[:, None], 11, axis=1)
-    coeffs[:, _SHIFT_UP, _PARAM] = base + fd_step
-    coeffs[:, _SHIFT_UP + 1, _PARAM] = base - fd_step
-    unitaries = slice_unitaries(coeffs, dt)
-    slices = np.repeat(unitaries[None, :, 0], 10 * n_slices, axis=0)
-    own = np.arange(n_slices)
-    slices.reshape(n_slices, 10, n_slices, 4, 4)[own, :, own] = unitaries[:, 1:]
-    losses = _mse(chain(slices), rhos, targets, readout)
+    base = np.asarray(params, dtype=float).ravel()
+    p = np.arange(base.size)
+    stack = np.repeat(base[None], 2 * base.size, axis=0)
+    stack[2 * p, p] += fd_step
+    stack[2 * p + 1, p] -= fd_step
+    losses = _mse(propagators(stack, dt), rhos, targets, readout)
     return (losses[0::2] - losses[1::2]) / (2.0 * fd_step)
 
 

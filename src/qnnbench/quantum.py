@@ -16,9 +16,6 @@ Hamiltonians into their unitaries with one batched eigendecomposition, and
 chain multiplies each schedule's slice list, later slices on the left.
 propagators runs both on a stack of schedules, one parameter vector per
 row; schedule_propagator and slice_propagator are one-row calls of it.
-A caller whose schedules share slices, such as the finite-difference
-gradient, whose shifted schedules each differ from the base in one slice,
-diagonalizes each distinct slice once and chains the shared unitaries.
 reference_propagate is the independent RK4 check on all of them.
 """
 

@@ -255,9 +255,8 @@ class TestGradient:
     ):
         # gradient evaluates all shifted schedules as one stack; each entry
         # must be the central difference of two one-schedule batch losses.
-        # The shifted schedules share their unchanged slices, so one
-        # eigendecomposition covers the S base slices and the 10 S shifted
-        # ones.
+        # The stack holds 10 S schedules of S slices each, so one
+        # eigendecomposition covers all 10 S^2 of their slices.
         rng = np.random.default_rng(10 * n_slices + batch_size)
         params = scale * rng.uniform(-1.0, 1.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(params, 1.0)
@@ -286,7 +285,7 @@ class TestGradient:
         rhos, targets = qnn._batch(batch)
         monkeypatch.setattr(np.linalg, "eigh", counted)
         stacked = qnn.gradient(params, schedule.dt, rhos, targets, readout, h)
-        assert sizes == [11 * n_slices]
+        assert sizes == [10 * n_slices**2]
         assert np.array_equal(stacked, expected)
 
     def test_rejects_a_bad_step(self):
@@ -295,6 +294,20 @@ class TestGradient:
         for step in (0.0, -1e-3, 2e-2):
             with pytest.raises(ValidationError):
                 schedule_gradient(schedule, batch, fd_step=step)
+
+    def test_rejects_parameters_that_are_not_whole_slices(self):
+        rhos, targets = qnn._batch([(BASIS_00, 1.0), (BASIS_00, 0.0)])
+        for params in (np.zeros(7), np.zeros(0)):
+            with pytest.raises(ValidationError, match="multiple of 5"):
+                qnn.gradient(params, 1.0, rhos, targets)
+
+    def test_reads_a_slice_matrix_as_its_flat_vector(self):
+        rng = np.random.default_rng(21)
+        params = rng.uniform(-1.0, 1.0, (2, 5))
+        rhos, targets = qnn._batch([(tasks.sample_pure_state(rng), 0.6)])
+        grad = qnn.gradient(params, 0.5, rhos, targets)
+        assert grad.shape == (10,)
+        assert np.array_equal(grad, qnn.gradient(params.ravel(), 0.5, rhos, targets))
 
 
 # ---------------------------------------------------------------------------
