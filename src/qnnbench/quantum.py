@@ -11,11 +11,10 @@ states_to_rhos (pure_to_density is its one-state case). PureState holds its
 squared norm to TRACE_TOL of 1, so each is Hermitian and positive
 semidefinite with unit trace by construction, and nothing re-checks it.
 
-Propagation is two steps: slice_unitaries turns a stack of slice
-Hamiltonians into their unitaries with one batched eigendecomposition, and
-chain multiplies each schedule's slice list, later slices on the left.
-propagators runs both on a stack of schedules, one parameter vector per
-row; schedule_propagator and slice_propagator are one-row calls of it.
+Propagation is one function: propagators turns a stack of schedules, one
+parameter vector per row, into their total propagators, from one batched
+eigendecomposition of every slice Hamiltonian in the stack;
+schedule_propagator and slice_propagator are one-row calls of it.
 reference_propagate is the independent RK4 check on all of them.
 """
 
@@ -177,41 +176,31 @@ def build_hamiltonian(coeffs) -> np.ndarray:
     return k_a * X_A + k_b * X_B + eps_a * Z_A + eps_b * Z_B + zeta * ZZ
 
 
-def slice_unitaries(coeffs, dt: float) -> np.ndarray:
-    """Slice unitaries exp(-i H dt) of a stack of slices: (..., 5) ->
-    (..., 4, 4), from one batched eigendecomposition of the real symmetric
-    Hamiltonians. Each unitary comes out bit for bit as it would alone."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValidationError("dt must be positive")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValidationError("Hamiltonian parameters must be finite")
-    evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
-    phases = np.exp(-1j * dt * evals)[..., None, :]
-    return (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
-
-
-def chain(slices) -> np.ndarray:
-    """Total propagators of stacked slice lists: (n, S, 4, 4) -> (n, 4, 4),
-    later slices applied on the left."""
-    u = slices[:, 0]
-    for s in range(1, slices.shape[1]):
-        u = slices[:, s] @ u
-    return u
-
-
 def propagators(params, dt: float) -> np.ndarray:
     """Total propagators of a stack of schedules: (n, 5 S) -> (n, 4, 4).
 
-    Each row holds S slices of length dt: the n S slice unitaries, then
-    each row's chain.
+    Each row holds S slices of length dt. One batched eigendecomposition of
+    the n S real symmetric slice Hamiltonians gives their unitaries
+    exp(-i H dt), each bit for bit as it would come out alone; each row's
+    slices are then multiplied, later slices applied on the left.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or not params.size or params.shape[1] % 5:
         raise ValidationError(
             "parameter stack must be 2-D with a positive multiple of 5 columns"
         )
-    return chain(slice_unitaries(params.reshape(len(params), -1, 5), dt))
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValidationError("dt must be positive")
+    if not np.all(np.isfinite(params)):
+        raise ValidationError("Hamiltonian parameters must be finite")
+    coeffs = params.reshape(len(params), -1, 5)
+    evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
+    phases = np.exp(-1j * dt * evals)[..., None, :]
+    unitaries = (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
+    u = unitaries[:, 0]
+    for s in range(1, unitaries.shape[1]):
+        u = unitaries[:, s] @ u
+    return u
 
 
 def slice_propagator(params: SliceParams, dt: float) -> np.ndarray:

@@ -45,38 +45,33 @@ def rms_percent(outputs, targets) -> float:
     return 100.0 * float(np.sqrt(np.mean((out - tgt) ** 2)))
 
 
-def onehot_rule(output, label) -> bool:
-    """A record counts as correct when the output at the labeled class index
-    exceeds 0.5, regardless of what the other outputs do."""
-    return bool(np.asarray(output, dtype=float)[int(label)] > 0.5)
-
-
-def nearest_mean_rule(class_means):
-    """Decision rule for a single output, given as a scalar or a one-element
-    row: pick the class whose mean training output is closest. For sorted
-    means this is exactly a threshold rule with cuts at the midpoints between
-    adjacent class means."""
-    means = np.asarray(class_means, dtype=float)
-    if means.ndim != 1 or means.size < 2:
-        raise ValidationError("need at least two class means")
-
-    def rule(output, label) -> bool:
-        picked = int(np.argmin(np.abs(means - np.asarray(output, dtype=float).item())))
-        return picked == int(label)
-
-    return rule
-
-
-def accuracy_percent(outputs, labels, decision_rule) -> float:
-    """Percentage of records whose decision matches the label."""
-    if len(outputs) != len(labels):
+def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
+    """Percentage of test records whose decision matches their label (a
+    class index). The width of the output rows picks the decision. With one
+    output per class, a record is correct when its output at the labeled
+    class exceeds 0.5, whatever the other outputs are. A single output picks
+    the training class whose mean training output is nearest; for sorted
+    means that is a threshold rule with cuts at the midpoints between
+    adjacent means."""
+    outs = np.asarray(test_outs, dtype=float)
+    labels = np.asarray(test_labels, dtype=int)
+    if len(outs) != len(labels):
         raise ValidationError("outputs and labels must pair up")
-    if not len(outputs):
+    if not len(outs):
         raise ValidationError("accuracy_percent needs at least one record")
-    correct = sum(
-        1 for out, lab in zip(outputs, labels) if decision_rule(out, lab)
-    )
-    return 100.0 * correct / len(outputs)
+    if outs.shape[1] == 1:
+        train_outs = np.asarray(train_outs, dtype=float)
+        train_labels = np.asarray(train_labels, dtype=int)
+        # Not np.unique: its first call imports numpy.ma, about 1.3 MB of
+        # peak RSS in an iris run.
+        classes = np.array(sorted(set(train_labels.tolist())))
+        if classes.size < 2:
+            raise ValidationError("need at least two training classes")
+        means = np.array([np.mean(train_outs[train_labels == k]) for k in classes])
+        correct = classes[np.argmin(np.abs(means - outs), axis=1)] == labels
+    else:
+        correct = outs[np.arange(len(outs)), labels] > 0.5
+    return 100.0 * int(np.count_nonzero(correct)) / len(outs)
 
 
 @dataclass(frozen=True)

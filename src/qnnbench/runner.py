@@ -2,14 +2,17 @@
 
 Every experiment runs through one trial pipeline. The task drivers
 (run_gates, run_iris, run_entanglement) only build a table's trials, each a
-net, a seed and its TrialData. _run_group builds, trains, predicts and
-scores a group of trials by one call of its net's step. A table's rvnn
-trials are one group, trained by rvnn.train_lockstep in one spawned worker
-that sends back their RunReports; meanwhile this process runs each cvnn and
-qnn trial as a group of one. The cvnn and qnn entry points are looked up on
-their modules at every call, so a replacement installed there is what runs.
-The worker imports the modules afresh, and the main module too, so a script
-that runs rvnn trials keeps its entry code under an
+net, a seed and its TrialData. TrialData is plain data, class labels
+included, so any trial can be pickled; which accuracy rule a net gets
+follows from the width of its outputs, in reporting.accuracy_percent.
+_run_group builds, trains, predicts and scores a group of trials by one
+call of its net's step. A table's rvnn trials are one group, trained by
+rvnn.train_lockstep in one spawned worker that sends back their
+RunReports; meanwhile this process runs each cvnn and qnn trial as a group
+of one. The cvnn and qnn entry points are looked up on their modules at
+every call, so a replacement installed there is what runs. The worker
+imports the modules afresh, and the main module too, so a script that runs
+rvnn trials keeps its entry code under an
 `if __name__ == "__main__":` guard.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
@@ -27,20 +30,13 @@ an equal share of its group's build and train time, plus its own scoring.
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cvnn, qnn, rvnn, tasks
 from .errors import ValidationError
-from .reporting import (
-    NET_NAMES as NETS,
-    RunReport,
-    accuracy_percent,
-    nearest_mean_rule,
-    onehot_rule,
-    rms_percent,
-)
+from .reporting import NET_NAMES as NETS, RunReport, accuracy_percent, rms_percent
 from .training import check_positive, check_stop_rule, is_count, is_real
 
 EXPERIMENTS = ("gates", "iris", "entanglement")
@@ -164,9 +160,10 @@ class ExperimentConfig:
 class TrialData:
     """What a task hands to one trial: training pairs in the net's encoding,
     real target rows for the training and held-out inputs, the readout (None
-    for the net's default) and, for an accuracy, test labels (class indices)
-    plus a function from the training predictions to a decision rule.
-    variant splits the init stream between the tasks of one experiment."""
+    for the net's default) and, for an accuracy, the class indices of the
+    test and training records. variant splits the init stream between the
+    tasks of one experiment. Every field is plain data, so a trial pickles
+    whatever its net."""
 
     label: str
     train: Sequence
@@ -174,8 +171,8 @@ class TrialData:
     test_inputs: Optional[Sequence] = None
     test_targets: Optional[Sequence] = None
     readout: object = None
-    decision_rule: Optional[Callable[[np.ndarray], Callable]] = None
     test_labels: Optional[Sequence] = None
+    train_labels: Optional[Sequence] = None
     variant: int = 0
 
 
@@ -247,9 +244,10 @@ def _report(config, trial, result, predict, start):
     if data.test_inputs is not None:
         test_outs = predict(data.test_inputs)
         test_rms = rms_percent(test_outs, data.test_targets)
-        if data.decision_rule is not None:
-            rule = data.decision_rule(train_outs)
-            accuracy = accuracy_percent(list(test_outs), data.test_labels, rule)
+        if data.test_labels is not None:
+            accuracy = accuracy_percent(
+                test_outs, data.test_labels, train_outs, data.train_labels
+            )
     return RunReport(
         experiment=data.label,
         net=net,
@@ -361,23 +359,10 @@ def run_gates(config: ExperimentConfig) -> List[RunReport]:
     return run_trials(config, trials)
 
 
-def _nearest_species_mean(train_species):
-    """The qnn's iris decision rule, from the training predictions: the
-    species whose mean training output is nearest."""
-    return lambda outs: nearest_mean_rule(
-        [float(np.mean(outs[train_species == k])) for k in range(3)]
-    )
-
-
-def _onehot_decision(train_outs):
-    """The classical nets' iris decision rule: one-hot, whatever they output."""
-    return onehot_rule
-
-
 def run_iris(config: ExperimentConfig) -> List[RunReport]:
     """Stratified-split Iris classification for every net and seed. The
-    classical nets output one value per species; the qnn's single score picks
-    the species whose mean training output is nearest."""
+    classical nets output one value per species and the qnn a single score;
+    reporting.accuracy_percent decides each by the width of its outputs."""
     records = tasks.load_iris(config.iris_path)
     bounds = tasks.feature_bounds(records)
     n_train = config.train_size or DEFAULT_TRAIN_SIZE["iris"]
@@ -392,20 +377,18 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
             if net == "qnn":
                 pairs = [tasks.iris_encode_qnn(r) for r in split]
                 targets = [[t] for _, t in pairs]
-                rule = _nearest_species_mean(species[:n_train])
             else:
                 encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
                 pairs = [encode(r, bounds) for r in split]
                 targets = onehot
-                rule = _onehot_decision
             data = TrialData(
                 label,
                 pairs[:n_train],
                 targets[:n_train],
                 [x for x, _ in pairs[n_train:]],
                 targets[n_train:],
-                decision_rule=rule,
                 test_labels=species[n_train:],
+                train_labels=species[:n_train],
             )
             trials.append((net, seed, data))
     return run_trials(config, trials)

@@ -9,8 +9,6 @@ from qnnbench.reporting import (
     RunReport,
     accuracy_percent,
     emit_report,
-    nearest_mean_rule,
-    onehot_rule,
     reports_to_csv,
     reports_to_markdown,
     rms_percent,
@@ -41,33 +39,51 @@ class TestRmsPercent:
             rms_percent([[1.0, 2.0]], [[1.0]])
 
 
+# A one-wide training set whose class means are 0.1, 0.5 and 0.9.
+MEANS_TRAIN = ([[0.0], [0.2], [0.4], [0.6], [0.8], [1.0]], [0, 0, 1, 1, 2, 2])
+
+
 class TestAccuracy:
     def test_perfect_one_hot_outputs(self):
         labels = [i % 3 for i in range(9)]
         outputs = [np.eye(3)[label] for label in labels]
-        assert accuracy_percent(outputs, labels, onehot_rule) == 100.0
+        assert accuracy_percent(outputs, labels, outputs, labels) == 100.0
 
     def test_uniform_outputs_fail_the_half_rule(self):
         outputs = [np.full(3, 1.0 / 3.0)] * 6
         labels = [i % 3 for i in range(6)]
-        assert accuracy_percent(outputs, labels, onehot_rule) == 0.0
+        assert accuracy_percent(outputs, labels, outputs, labels) == 0.0
 
     def test_seventy_one_of_seventy_five(self):
         outputs = [np.eye(3)[0]] * 71 + [np.zeros(3)] * 4
         labels = [0] * 75
-        value = accuracy_percent(outputs, labels, onehot_rule)
+        value = accuracy_percent(outputs, labels, np.eye(3), [0, 1, 2])
         assert value == pytest.approx(100.0 * 71 / 75)
 
     def test_nearest_mean_rule_cuts_at_midpoints(self):
-        rule = nearest_mean_rule([0.1, 0.5, 0.9])
-        assert rule(0.29, 0)
-        assert rule(0.31, 1)
-        assert rule(0.71, 2)
-        assert not rule(0.69, 2)
+        outs = [[0.29], [0.31], [0.71], [0.69]]
+        assert accuracy_percent(outs, [0, 1, 2, 1], *MEANS_TRAIN) == 100.0
+        assert accuracy_percent(outs, [1, 0, 1, 2], *MEANS_TRAIN) == 0.0
+
+    def test_the_output_width_picks_the_rule(self):
+        # As one record of three outputs labeled class 0, the numbers fail
+        # the one-hot rule: 0.1 does not exceed 0.5. As three records of one
+        # output labeled 0, 1 and 2, each is nearest its own class mean.
+        numbers = np.array([0.1, 0.6, 0.9])
+        assert accuracy_percent(numbers[None], [0], np.eye(3), [0, 1, 2]) == 0.0
+        assert accuracy_percent(numbers[:, None], [0, 1, 2], *MEANS_TRAIN) == 100.0
 
     def test_nearest_mean_rule_needs_two_means(self):
+        with pytest.raises(ValidationError, match="two training classes"):
+            accuracy_percent([[0.4]], [0], [[0.4], [0.5]], [0, 0])
+
+    @pytest.mark.parametrize(
+        "outs, labels",
+        [([[1.0, 0.0], [0.0, 1.0]], [0]), ([], [])],
+    )
+    def test_unpaired_or_empty_test_sets_are_rejected(self, outs, labels):
         with pytest.raises(ValidationError):
-            nearest_mean_rule([0.4])
+            accuracy_percent(outs, labels, np.eye(2), [0, 1])
 
 
 def report(**overrides):

@@ -3,6 +3,7 @@ and end-to-end determinism. Trials here use small budgets; the full-size
 runs live in the acceptance suite."""
 
 import multiprocessing
+import pickle
 import signal
 import time
 
@@ -345,6 +346,19 @@ class TestTrialPipeline:
         for (net, args, _), report in zip(calls[1:], singles):
             if net == "qnn":
                 assert args[1].seed == report.seed
+
+    @pytest.mark.parametrize(
+        "experiment, driver",
+        [("gates", run_gates), ("iris", run_iris), ("entanglement", run_entanglement)],
+    )
+    def test_every_trial_pickles_whatever_its_net(self, monkeypatch, experiment, driver):
+        # A trial's data is plain data, so the worker could run any net.
+        built = []
+        monkeypatch.setattr(runner, "run_trials", lambda config, trials: built.extend(trials))
+        driver(ExperimentConfig(experiment=experiment))
+        assert {net for net, _, _ in built} == {"rvnn", "cvnn", "qnn"}
+        for trial in built:
+            pickle.dumps(trial)
 
     @pytest.mark.parametrize(
         "experiment, sizes",
