@@ -26,9 +26,9 @@ converges. The gate and iris runs keep the fixed step. No randomness enters
 after the initial schedule is drawn, so runs are reproducible from the seed
 alone.
 
-Losses are evaluated for a stack of parameter vectors at once, each row
-bit for bit as it would come out alone, so the stacking changes no
-trajectory: one stack serves the 10 S shifted schedules of the
+Every loss is evaluated by _losses, for a stack of parameter vectors at
+once, each row bit for bit as it would come out alone, so the stacking
+changes no trajectory: one stack serves the 10 S shifted schedules of the
 finite-difference gradient, and at most two the epoch's candidate steps
 (see train). train and batch_loss check a batch in one place, _batch, and
 train hands gradient the parameter vector, density matrices and targets it
@@ -138,15 +138,10 @@ def _outputs(us, rhos, readout):
     return readout.values(evolved.reshape(-1, 4, 4)).reshape(len(us), -1)
 
 
-def _mse(us, rhos, targets, readout) -> np.ndarray:
-    """Batch mean squared error after each of n propagators: (n, 4, 4) ->
-    (n,)."""
-    return np.mean((_outputs(us, rhos, readout) - targets) ** 2, axis=1)
-
-
 def _losses(stack, dt, rhos, targets, readout) -> np.ndarray:
     """Batch mean squared errors of n schedules of dt slices: (n, 5 S) -> (n,)."""
-    return _mse(propagators(stack, dt), rhos, targets, readout)
+    outputs = _outputs(propagators(stack, dt), rhos, readout)
+    return np.mean((outputs - targets) ** 2, axis=1)
 
 
 def _batch(batch: Sequence[TrainPair]) -> Tuple[np.ndarray, np.ndarray]:
@@ -190,7 +185,7 @@ def gradient(
     stack = np.repeat(base[None], 2 * base.size, axis=0)
     stack[2 * p, p] += fd_step
     stack[2 * p + 1, p] -= fd_step
-    losses = _mse(propagators(stack, dt), rhos, targets, readout)
+    losses = _losses(stack, dt, rhos, targets, readout)
     return (losses[0::2] - losses[1::2]) / (2.0 * fd_step)
 
 

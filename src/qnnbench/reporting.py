@@ -47,18 +47,20 @@ def rms_percent(outputs, targets) -> float:
 
 def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
     """Percentage of test records whose decision matches their label (a
-    class index). The width of the output rows picks the decision. With one
-    output per class, a record is correct when its output at the labeled
-    class exceeds 0.5, whatever the other outputs are. A single output picks
-    the training class whose mean training output is nearest; for sorted
-    means that is a threshold rule with cuts at the midpoints between
-    adjacent means."""
+    class index). test_outs holds one row per record, and the width of the
+    rows picks the decision. With one output per class, a record is correct
+    when its output at the labeled class exceeds 0.5, whatever the other
+    outputs are. A single output picks the training class whose mean
+    training output is nearest; for sorted means that is a threshold rule
+    with cuts at the midpoints between adjacent means."""
     outs = np.asarray(test_outs, dtype=float)
     labels = np.asarray(test_labels, dtype=int)
     if len(outs) != len(labels):
         raise ValidationError("outputs and labels must pair up")
     if not len(outs):
         raise ValidationError("accuracy_percent needs at least one record")
+    if outs.ndim != 2:
+        raise ValidationError("outputs must be one row per record")
     if outs.shape[1] == 1:
         train_outs = np.asarray(train_outs, dtype=float)
         train_labels = np.asarray(train_labels, dtype=int)
@@ -70,6 +72,8 @@ def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
         means = np.array([np.mean(train_outs[train_labels == k]) for k in classes])
         correct = classes[np.argmin(np.abs(means - outs), axis=1)] == labels
     else:
+        if labels.min() < 0 or labels.max() >= outs.shape[1]:
+            raise ValidationError("one-hot labels must index the outputs")
         correct = outs[np.arange(len(outs)), labels] > 0.5
     return 100.0 * int(np.count_nonzero(correct)) / len(outs)
 

@@ -192,11 +192,13 @@ def _init_stream(net, seed, data):
 # (n, outputs) real arrays. Only the rvnn step takes more than one trial.
 def _rvnn_step(params, trials):
     nets = [
-        rvnn.random_stack(_layer_sizes(params, data.train), params["learning_rate"], rng)
+        rvnn.random_stack(_layer_sizes(params, data.train), rng)
         for data, rng, _ in trials
     ]
     pair_sets = [data.train for data, _, _ in trials]
-    results = rvnn.train_lockstep(nets, pair_sets, params["rms_target"], params["max_epochs"])
+    results = rvnn.train_lockstep(
+        nets, pair_sets, params["learning_rate"], params["rms_target"], params["max_epochs"]
+    )
     return [
         (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
         for result in results

@@ -1,9 +1,10 @@
 """Real-valued feed-forward network with sigmoid units and per-pair gradient descent.
 
-The network is a plain layer stack: every layer computes sigmoid(W x + b).
-train_lockstep, the one way to train, takes several nets of one shape and
-trains each on its own pairs in lockstep; train_to_threshold is its one-net
-case. The pairs are checked once, up front; each epoch then applies one
+The network is a plain layer stack that holds only its weights and biases:
+every layer computes sigmoid(W x + b). The learning rate, like the stop
+rule, is an argument of the train calls. train_lockstep, the one way to
+train, takes several nets of one shape and trains each on its own pairs in
+lockstep; train_to_threshold is its one-net case. The pairs are checked once, up front; each epoch then applies one
 gradient step per pair, in order, accumulating the epoch error from each
 forward pass before its update, so a zero learning rate reports exactly the
 static error of the starting weights. Epochs repeat under the stop rule
@@ -16,7 +17,7 @@ All RMS values handled here are fractions of full scale in [0, 1]; reporting
 code multiplies by 100 where percentages are wanted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence
 
 import numpy as np
@@ -33,16 +34,11 @@ def sigmoid(t):
 
 @dataclass
 class RealLayerStack:
-    """Weights, biases, and the step size used when training the stack.
-
-    The stated contract wants a positive learning rate, but a zero rate is
-    accepted so that a no-op training epoch stays expressible. Negative
-    rates, and values that are not real numbers or are bools, are rejected.
-    """
+    """Weights and biases, one bias vector per weight matrix. The learning
+    rate is a setting of the train calls, not part of the net."""
 
     weights: List[np.ndarray]
     biases: List[np.ndarray]
-    learning_rate: float = field(default=0.1)
 
     def __post_init__(self):
         if not self.weights or len(self.weights) != len(self.biases):
@@ -54,21 +50,20 @@ class RealLayerStack:
                 raise ValidationError(f"layer {k}: non-finite parameters")
             if k > 0 and w.shape[1] != self.weights[k - 1].shape[0]:
                 raise ValidationError(f"layer {k}: input width breaks the chain")
-        check_positive(self.learning_rate, "learning rate", allow_zero=True)
 
     @property
     def sizes(self):
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
 
-def random_stack(sizes: Sequence[int], learning_rate: float, rng) -> RealLayerStack:
+def random_stack(sizes: Sequence[int], rng) -> RealLayerStack:
     """Build a stack with all parameters drawn uniformly from [-0.5, 0.5)."""
     rng = np.random.default_rng(rng)
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         weights.append(rng.uniform(-0.5, 0.5, (n_out, n_in)))
         biases.append(rng.uniform(-0.5, 0.5, n_out))
-    return RealLayerStack(weights, biases, learning_rate)
+    return RealLayerStack(weights, biases)
 
 
 def _activations(net, x):
@@ -106,9 +101,9 @@ class TrainResult(NamedTuple):
     rms_history: List[float]
 
 
-def train_to_threshold(net, pairs, rms_target, max_epochs) -> TrainResult:
+def train_to_threshold(net, pairs, learning_rate, rms_target, max_epochs) -> TrainResult:
     """Train one net: the one-net case of train_lockstep."""
-    return train_lockstep([net], [pairs], rms_target, max_epochs)[0]
+    return train_lockstep([net], [pairs], learning_rate, rms_target, max_epochs)[0]
 
 
 def _views(buffer, sizes):
@@ -125,15 +120,17 @@ def _views(buffer, sizes):
     return weights, biases
 
 
-def train_lockstep(nets, pair_sets, rms_target, max_epochs) -> List[TrainResult]:
+def train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs) -> List[TrainResult]:
     """Train each net on its own pairs under the shared stop rule of
     qnnbench.training, all of them in lockstep; returns one TrainResult per
     net, in order.
 
-    The nets must share their sizes and learning rate, and the pair lists
-    their length. Every pair of every net is checked and converted to float
-    once, before any update. The parameters of the nets still training are
-    the rows of one float64 buffer, which is also their training state.
+    The nets must share their sizes, and the pair lists their length; every
+    net steps at learning_rate, a finite real number >= 0 (zero keeps a
+    no-op epoch expressible). The rate and every pair of every net are
+    checked, and the pairs converted to float, once, before any update. The
+    parameters of the nets still training are the rows of one float64
+    buffer, which is also their training state.
     Each epoch is one in-order pass over the pairs; each pair is one
     gradient step of every net, taken by stacked matrix products that apply
     to each net the same floating-point operations as training it alone,
@@ -142,14 +139,13 @@ def train_lockstep(nets, pair_sets, rms_target, max_epochs) -> List[TrainResult]
     into its arrays."""
     if not nets or len(nets) != len(pair_sets):
         raise ValidationError("need one pair list per net")
-    sizes, lr, n_pairs = nets[0].sizes, nets[0].learning_rate, len(pair_sets[0])
+    check_positive(learning_rate, "learning rate", allow_zero=True)
+    sizes, n_pairs = nets[0].sizes, len(pair_sets[0])
     if not n_pairs:
         raise ValidationError("cannot train on an empty pair list")
     for net, pairs in zip(nets, pair_sets):
-        if net.sizes != sizes or net.learning_rate != lr or len(pairs) != n_pairs:
-            raise ValidationError(
-                "lockstep nets need equal sizes, learning rates and pair counts"
-            )
+        if net.sizes != sizes or len(pairs) != n_pairs:
+            raise ValidationError("lockstep nets need equal sizes and pair counts")
         if any(p.dtype != np.float64 for p in net.weights + net.biases):
             raise ValidationError("rvnn parameters must be float64 arrays")
     n_in, n_out = sizes[0], sizes[-1]
@@ -198,7 +194,7 @@ def train_lockstep(nets, pair_sets, rms_target, max_epochs) -> List[TrainResult]
                 if k > 0:
                     back = weights[k].swapaxes(1, 2) @ delta
                     delta = back * acts[k] * (1.0 - acts[k])
-            np.subtract(params, lr * grads, out=params)
+            np.subtract(params, learning_rate * grads, out=params)
         return (np.sqrt(sq_sum[:, 0] / n_components).tolist(),)
 
     def write_back(row, i):

@@ -468,7 +468,7 @@ def test_gradient_checks():
     rng = np.random.default_rng(77)
     worst_rel = 0.0
     for sizes in ((2, 1), (3, 4, 2), (4, 8, 3)):
-        net = rvnn.random_stack(sizes, 0.1, rng)
+        net = rvnn.random_stack(sizes, rng)
         pairs = [
             (rng.standard_normal(sizes[0]), rng.uniform(0.1, 0.9, sizes[-1]))
             for _ in range(5)

@@ -434,7 +434,7 @@ class TestTrain:
         # defaults runs all 2000 epochs and halves the rate about 18 times
         # per epoch. Seed 0 converges in a few dozen epochs, some of which
         # take the full rate and some of which halve it.
-        calls, stacks = [], []
+        calls, stacks, in_gradient = [], [], [False]
         train, gradient, losses = qnn.train, qnn.gradient, qnn._losses
 
         def recorded(trainset, config, initial_schedule, readout=qnn.CORRELATION):
@@ -444,10 +444,15 @@ class TestTrain:
 
         def epoch_gradient(*args):
             stacks.append([])
-            return gradient(*args)
+            in_gradient[0] = True
+            try:
+                return gradient(*args)
+            finally:
+                in_gradient[0] = False
 
         def candidate_losses(stack, *args):
-            if stacks:  # not the initial loss
+            # Neither the initial loss nor the gradient's shifted stack.
+            if stacks and not in_gradient[0]:
                 stacks[-1].append(len(stack))
             return losses(stack, *args)
 

@@ -79,7 +79,17 @@ class TestAccuracy:
 
     @pytest.mark.parametrize(
         "outs, labels",
-        [([[1.0, 0.0], [0.0, 1.0]], [0]), ([], [])],
+        [
+            ([[1.0, 0.0], [0.0, 1.0]], [0]),
+            ([], []),
+            # Outputs that are not one row per record.
+            ([0.2, 0.8], [0, 1]),
+            (np.zeros((2, 1, 3)), [0, 1]),
+            # One-hot labels that do not index the outputs; -1 would read
+            # the last column.
+            (np.eye(3)[[0, 2]], [0, 3]),
+            (np.eye(3)[[0, 2]], [0, -1]),
+        ],
     )
     def test_unpaired_or_empty_test_sets_are_rejected(self, outs, labels):
         with pytest.raises(ValidationError):

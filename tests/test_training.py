@@ -15,9 +15,9 @@ XOR = tasks.gate_dataset("XOR")
 
 
 def train_rvnn(rms_target, max_epochs):
-    net = rvnn.random_stack((2, 2, 1), 2.0, np.random.default_rng(0))
+    net = rvnn.random_stack((2, 2, 1), np.random.default_rng(0))
     pairs = tasks.gate_encode_rvnn(XOR)
-    return rvnn.train_to_threshold(net, pairs, rms_target, max_epochs)
+    return rvnn.train_to_threshold(net, pairs, 2.0, rms_target, max_epochs)
 
 
 def train_cvnn(rms_target, max_epochs):
@@ -193,9 +193,11 @@ def runner_stream(net, seed, variant):
 def rvnn_xor_trial(max_epochs):
     params = runner.DEFAULTS["gates"]["rvnn"]
     rng = runner_stream("rvnn", 0, tasks.GATE_NAMES.index("XOR"))
-    net = rvnn.random_stack((2, 1), params["learning_rate"], rng)
+    net = rvnn.random_stack((2, 1), rng)
     pairs = tasks.gate_encode_rvnn(XOR)
-    result = rvnn.train_to_threshold(net, pairs, params["rms_target"], max_epochs)
+    result = rvnn.train_to_threshold(
+        net, pairs, params["learning_rate"], params["rms_target"], max_epochs
+    )
     return result, bits(net.weights + net.biases)
 
 
@@ -271,9 +273,9 @@ def test_all_degenerate_cvnn_counts_every_skip_of_the_budget():
 
 def test_a_frozen_net_runs_one_epoch_of_a_million(monkeypatch):
     calls = counted(monkeypatch, rvnn, "sigmoid")
-    net = rvnn.random_stack((2, 1), 0.0, np.random.default_rng(0))
+    net = rvnn.random_stack((2, 1), np.random.default_rng(0))
     pairs = tasks.gate_encode_rvnn(XOR)
-    result = rvnn.train_to_threshold(net, pairs, 0.01, 1_000_000)
+    result = rvnn.train_to_threshold(net, pairs, 0.0, 0.01, 1_000_000)
     assert calls[0] <= 2 * len(pairs)
     assert (result.epochs_used, result.converged) == (1_000_000, False)
     assert len(result.rms_history) == 1_000_000
@@ -284,7 +286,7 @@ def test_a_frozen_net_runs_one_epoch_of_a_million(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def oracle_rvnn(net, pairs, rms_target, max_epochs):
+def oracle_rvnn(net, pairs, learning_rate, rms_target, max_epochs):
     """The slow oracle for rvnn training: one pair_gradients step per pair,
     in order, under the plain loop."""
     data = [(np.asarray(x, dtype=float), np.asarray(t, dtype=float)) for x, t in pairs]
@@ -297,7 +299,7 @@ def oracle_rvnn(net, pairs, rms_target, max_epochs):
             gw, gb, out = rvnn.pair_gradients(net, x, target)
             sq_sum += float(np.sum((out - target) ** 2))
             for p, g in zip(params, gw + gb):
-                p -= net.learning_rate * g
+                p -= learning_rate * g
         return ([np.sqrt(sq_sum / n_components)],)
 
     state = lambda: np.zeros((1, 1), dtype=np.uint64)
@@ -305,13 +307,15 @@ def oracle_rvnn(net, pairs, rms_target, max_epochs):
     return rvnn.TrainResult(net, *run)
 
 
-def assert_lockstep_matches_the_oracle(make_nets, pair_sets, rms_target, max_epochs):
+def assert_lockstep_matches_the_oracle(
+    make_nets, pair_sets, learning_rate, rms_target, max_epochs
+):
     """Train make_nets() in lockstep and a second make_nets() one at a time
     under the oracle; every trial must come out bit for bit the same."""
     nets = make_nets()
-    fast = rvnn.train_lockstep(nets, pair_sets, rms_target, max_epochs)
+    fast = rvnn.train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs)
     slow = [
-        oracle_rvnn(net, pairs, rms_target, max_epochs)
+        oracle_rvnn(net, pairs, learning_rate, rms_target, max_epochs)
         for net, pairs in zip(make_nets(), pair_sets)
     ]
     assert [r.net for r in fast] == nets
@@ -332,7 +336,7 @@ def gate_batch(gates, seeds):
 
     def make_nets():
         return [
-            rvnn.random_stack((2, 1), 2.0, runner_stream("rvnn", seed, variant))
+            rvnn.random_stack((2, 1), runner_stream("rvnn", seed, variant))
             for seed, variant in keys
         ]
 
@@ -354,14 +358,14 @@ def test_lockstep_gate_trials_match_the_oracle(monkeypatch, max_epochs):
     make_nets, pair_sets = gate_batch(("AND", "OR", "XOR", "XNOR"), (0, 1, 2))
     with monkeypatch.context() as patch:
         patch.setattr(rvnn, "sigmoid", counted_rows)
-        fast = rvnn.train_lockstep(make_nets(), pair_sets, 0.02, max_epochs)
+        fast = rvnn.train_lockstep(make_nets(), pair_sets, 2.0, 0.02, max_epochs)
     runs = [(r.epochs_used, r.converged) for r in fast]
     assert [c for _, c in runs] == [False] * 3 + [True] * 3 + [False] * 6
     # Without the fast-forward the parity trials would take a step on
     # every pair of every epoch of the budget.
     ran_alone = sum(e for e, _ in runs[:6]) + 6 * max_epochs
     assert rows[0] < ran_alone * 4
-    assert_lockstep_matches_the_oracle(make_nets, pair_sets, 0.02, max_epochs)
+    assert_lockstep_matches_the_oracle(make_nets, pair_sets, 2.0, 0.02, max_epochs)
 
 
 def test_lockstep_witness_trials_match_the_oracle():
@@ -372,13 +376,14 @@ def test_lockstep_witness_trials_match_the_oracle():
     ]
 
     def make_nets():
-        lr = params["learning_rate"]
         return [
-            rvnn.random_stack((16, 8, 1), lr, runner_stream("rvnn", seed, 0))
+            rvnn.random_stack((16, 8, 1), runner_stream("rvnn", seed, 0))
             for seed in range(10)
         ]
 
-    assert_lockstep_matches_the_oracle(make_nets, pair_sets, params["rms_target"], 150)
+    assert_lockstep_matches_the_oracle(
+        make_nets, pair_sets, params["learning_rate"], params["rms_target"], 150
+    )
 
 
 def test_lockstep_iris_trials_match_the_oracle():
@@ -391,49 +396,49 @@ def test_lockstep_iris_trials_match_the_oracle():
     ]
 
     def make_nets():
-        lr = params["learning_rate"]
         return [
-            rvnn.random_stack((4, 8, 3), lr, runner_stream("rvnn", seed, 0))
+            rvnn.random_stack((4, 8, 3), runner_stream("rvnn", seed, 0))
             for seed in (0, 1)
         ]
 
-    assert_lockstep_matches_the_oracle(make_nets, pair_sets, params["rms_target"], 20)
+    assert_lockstep_matches_the_oracle(
+        make_nets, pair_sets, params["learning_rate"], params["rms_target"], 20
+    )
 
 
-def gate_nets(*specs):
-    """(sizes, learning rate) per net, drawn from one stream."""
+def gate_nets(*sizes):
+    """Nets of the given sizes, drawn from one stream."""
     rng = np.random.default_rng(4)
-    return [rvnn.random_stack(sizes, lr, rng) for sizes, lr in specs]
+    return [rvnn.random_stack(s, rng) for s in sizes]
 
 
 AND_PAIRS = tasks.gate_encode_rvnn(tasks.gate_dataset("AND"))
 
 
 @pytest.mark.parametrize(
-    "specs, pair_sets",
+    "sizes, pair_sets",
     [
-        ([((2, 1), 2.0), ((2, 2, 1), 2.0)], [AND_PAIRS, AND_PAIRS]),
-        ([((2, 1), 2.0), ((2, 1), 1.0)], [AND_PAIRS, AND_PAIRS]),
-        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS, AND_PAIRS[:3]]),
-        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS]),
-        ([((2, 1), 2.0), ((2, 1), 2.0)], [AND_PAIRS, AND_PAIRS, AND_PAIRS]),
+        ([(2, 1), (2, 2, 1)], [AND_PAIRS, AND_PAIRS]),
+        ([(2, 1), (2, 1)], [AND_PAIRS, AND_PAIRS[:3]]),
+        ([(2, 1), (2, 1)], [AND_PAIRS]),
+        ([(2, 1), (2, 1)], [AND_PAIRS, AND_PAIRS, AND_PAIRS]),
     ],
-    ids=["sizes", "learning-rates", "pair-counts", "fewer-pair-lists", "more-pair-lists"],
+    ids=["sizes", "pair-counts", "fewer-pair-lists", "more-pair-lists"],
 )
-def test_a_mixed_lockstep_batch_is_rejected(specs, pair_sets):
-    nets = gate_nets(*specs)
+def test_a_mixed_lockstep_batch_is_rejected(sizes, pair_sets):
+    nets = gate_nets(*sizes)
     before = [bits(net.weights + net.biases) for net in nets]
     with pytest.raises(ValidationError):
-        rvnn.train_lockstep(nets, pair_sets, 0.01, 10)
+        rvnn.train_lockstep(nets, pair_sets, 2.0, 0.01, 10)
     assert [bits(net.weights + net.biases) for net in nets] == before
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_bad_pair_in_any_trial_is_rejected_before_any_net_changes(bad):
-    nets = gate_nets(*[((2, 1), 2.0)] * 3)
+    nets = gate_nets(*[(2, 1)] * 3)
     before = [bits(net.weights + net.biases) for net in nets]
     pair_sets = [list(AND_PAIRS) for _ in nets]
     pair_sets[bad][-1] = (pair_sets[bad][-1][0], np.array([np.nan]))
     with pytest.raises(ValidationError):
-        rvnn.train_lockstep(nets, pair_sets, 0.01, 10)
+        rvnn.train_lockstep(nets, pair_sets, 2.0, 0.01, 10)
     assert [bits(net.weights + net.biases) for net in nets] == before
