@@ -407,13 +407,9 @@ def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
         train_targets = [[p.target] for p in train]
         test_targets = [[p.target] for p in test]
         for net in config.nets:
-            if net == "qnn":
-                pairs = [tasks.witness_encode_qnn(p) for p in train]
-                test_inputs = [p.state for p in test]
-            else:
-                encode = tasks.witness_encode_cvnn if net == "cvnn" else tasks.witness_encode_rvnn
-                pairs = [encode(p) for p in train]
-                test_inputs = [encode(p)[0] for p in test]
+            encode = getattr(tasks, f"witness_encode_{net}")
+            pairs = [encode(p) for p in train]
+            test_inputs = [encode(p)[0] for p in test]
             data = TrialData(label, pairs, train_targets, test_inputs, test_targets)
             trials.append((net, seed, data))
     return run_trials(config, trials)

@@ -4,10 +4,12 @@ The network is a plain layer stack that holds only its weights and biases:
 every layer computes sigmoid(W x + b). The learning rate, like the stop
 rule, is an argument of the train calls. train_lockstep, the one way to
 train, takes several nets of one shape and trains each on its own pairs in
-lockstep; train_to_threshold is its one-net case. The pairs are checked once, up front; each epoch then applies one
-gradient step per pair, in order, accumulating the epoch error from each
-forward pass before its update, so a zero learning rate reports exactly the
-static error of the starting weights. Epochs repeat under the stop rule
+lockstep, with the pairs stored pair-major so that one pair step serves
+every net; train_to_threshold is its one-net case. The pairs are checked
+once, up front; each epoch then applies one gradient step per pair, in
+order, accumulating the epoch error from each forward pass before its
+update, so a zero learning rate reports exactly the static error of the
+starting weights. Epochs repeat under the stop rule
 shared by all three nets (qnnbench.training). pair_gradients, the same step
 for one net and one pair, stays as the reference the lockstep step is
 tested against, and is itself checked against finite differences of one
@@ -128,15 +130,17 @@ def train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs) -> Li
     The nets must share their sizes, and the pair lists their length; every
     net steps at learning_rate, a finite real number >= 0 (zero keeps a
     no-op epoch expressible). The rate and every pair of every net are
-    checked, and the pairs converted to float, once, before any update. The
-    parameters of the nets still training are the rows of one float64
-    buffer, which is also their training state.
+    checked, and the pairs converted to float, once, before any update,
+    into pair-major arrays: the k-th pair of every net still training sits
+    in one (nets, width, 1) slab. The parameters of those nets are the rows
+    of one float64 buffer, which is also their training state.
     Each epoch is one in-order pass over the pairs; each pair is one
     gradient step of every net, taken by stacked matrix products that apply
     to each net the same floating-point operations as training it alone,
     so every net's run is bit for bit the one it would have alone. A net
-    that stops leaves the batch, and its final parameters are written back
-    into its arrays."""
+    that stops leaves the batch; one function writes its final parameters
+    back into its arrays, and the same function writes back the rest at the
+    end of the run."""
     if not nets or len(nets) != len(pair_sets):
         raise ValidationError("need one pair list per net")
     check_positive(learning_rate, "learning rate", allow_zero=True)
@@ -149,8 +153,8 @@ def train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs) -> Li
         if any(p.dtype != np.float64 for p in net.weights + net.biases):
             raise ValidationError("rvnn parameters must be float64 arrays")
     n_in, n_out = sizes[0], sizes[-1]
-    inputs = np.empty((len(nets), n_pairs, n_in, 1))
-    targets = np.empty((len(nets), n_pairs, n_out, 1))
+    inputs = np.empty((n_pairs, len(nets), n_in, 1))
+    targets = np.empty((n_pairs, len(nets), n_out, 1))
     for i, pairs in enumerate(pair_sets):
         for k, (x, target) in enumerate(pairs):
             x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
@@ -161,24 +165,19 @@ def train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs) -> Li
                 )
             if not (np.all(np.isfinite(x)) and np.all(np.isfinite(target))):
                 raise ValidationError(f"net {i}, pair {k}: non-finite input or target")
-            inputs[i, k, :, 0], targets[i, k, :, 0] = x, target
+            inputs[k, i, :, 0], targets[k, i, :, 0] = x, target
     params = np.array(
         [np.concatenate([p.ravel() for p in net.weights + net.biases]) for net in nets]
     )
     grads = np.empty_like(params)
-    rows = list(range(len(nets)))  # the net in each buffer row
+    rows = np.arange(len(nets))  # the net in each buffer row
+    weights, biases = _views(params, sizes)
+    grad_w, grad_b = _views(grads, sizes)
     n_components = n_out * n_pairs
-
-    def bind():
-        """Views into the buffers of the nets still training."""
-        pairs = [(inputs[:, k], targets[:, k]) for k in range(n_pairs)]
-        return (*_views(params, sizes), *_views(grads, sizes), pairs)
-
-    weights, biases, grad_w, grad_b, data = bind()
 
     def epoch():
         sq_sum = np.zeros((len(params), 1))
-        for x, target in data:
+        for x, target in zip(inputs, targets):
             acts = [x]
             for w, b in zip(weights, biases):
                 z = w @ acts[-1]
@@ -197,26 +196,25 @@ def train_lockstep(nets, pair_sets, learning_rate, rms_target, max_epochs) -> Li
             np.subtract(params, learning_rate * grads, out=params)
         return (np.sqrt(sq_sum[:, 0] / n_components).tolist(),)
 
-    def write_back(row, i):
-        at = 0
-        for p in nets[i].weights + nets[i].biases:
-            p[...] = row[at : at + p.size].reshape(p.shape)
-            at += p.size
+    def write_back(done):
+        """Copy the buffer rows that done picks into their nets' arrays."""
+        for row, i in zip(params[done], rows[done]):
+            at = 0
+            for p in nets[i].weights + nets[i].biases:
+                p[...] = row[at : at + p.size].reshape(p.shape)
+                at += p.size
 
     def shrink(keep):
-        nonlocal params, grads, inputs, targets, rows
-        nonlocal weights, biases, grad_w, grad_b, data
-        for row, i, kept in zip(params, rows, keep):
-            if not kept:
-                write_back(row, i)
-        params, inputs, targets = params[keep], inputs[keep], targets[keep]
+        nonlocal params, grads, rows, inputs, targets, weights, biases, grad_w, grad_b
+        write_back(~keep)
+        params, rows = params[keep], rows[keep]
+        inputs, targets = inputs[:, keep], targets[:, keep]
         grads = np.empty_like(params)
-        rows = [i for i, kept in zip(rows, keep) if kept]
-        weights, biases, grad_w, grad_b, data = bind()
+        weights, biases = _views(params, sizes)
+        grad_w, grad_b = _views(grads, sizes)
 
     runs = run_epochs(
         epoch, lambda: params.view(np.uint64).copy(), rms_target, max_epochs, shrink
     )
-    for row, i in zip(params, rows):
-        write_back(row, i)
+    write_back(slice(None))
     return [TrainResult(net, *run) for net, run in zip(nets, runs)]

@@ -139,7 +139,7 @@ def load_iris(path=None) -> List[IrisRecord]:
     """Parse the Iris CSV (header optional) and check the canonical totals."""
     source = bundled_iris_path() if path is None else path
     try:
-        with open(source, encoding="utf-8") as handle:
+        with open(source, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"not UTF-8 text: {exc}")

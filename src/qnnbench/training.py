@@ -71,13 +71,17 @@ def run_epochs(epoch, state, rms_target, max_epochs, shrink=None):
     columns with one value per running trial, in row order: the RMS first,
     then any per-epoch counts the net tallies. When some trials stop while
     others run on, shrink(keep) is called with a boolean mask over the rows;
-    later epochs and states cover the kept rows only.
+    later epochs and states cover the kept rows only. A state of more than
+    one row needs shrink.
 
     Returns one (epochs_used, converged, *columns) tuple per trial, in row
     order, each column with one entry per epoch: the RMS history first."""
     check_stop_rule(rms_target, max_epochs)
-    previous = snapshot = state()
+    previous = state()
+    snapshot = previous.copy()
     n = len(previous)
+    if n > 1 and shrink is None:
+        raise ValidationError("lockstep trials need a shrink function")
     trials = list(range(n))  # the trial in each row
     runs, columns, used, snapshot_at = [None] * n, [None] * n, [0] * n, [0] * n
     while trials:
@@ -107,11 +111,9 @@ def run_epochs(epoch, state, rms_target, max_epochs, shrink=None):
                 used[t] += copies * period
             if used[t] == max_epochs:
                 runs[t] = (max_epochs, False, *columns[t])
-        due = [used[t] & (used[t] - 1) == 0 for t in trials]
-        if any(due):
-            snapshot = np.where(np.array(due)[:, None], current, snapshot)
-            for t, d in zip(trials, due):
-                snapshot_at[t] = used[t] if d else snapshot_at[t]
+            elif used[t] & (used[t] - 1) == 0:
+                snapshot[row] = current[row]
+                snapshot_at[t] = used[t]
         previous = current
         keep = [runs[t] is None for t in trials]
         if not all(keep):

@@ -111,6 +111,14 @@ class TestIrisLoading:
         path = write_iris(tmp_path, lines[1:])
         assert tasks.load_iris(path) == tasks.load_iris()
 
+    def test_a_byte_order_mark_does_not_hide_the_first_record(self, tmp_path):
+        with open(tasks.bundled_iris_path(), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert tasks.load_iris(path) == tasks.load_iris()
+
     def test_species_prefix_and_case_are_tolerated(self, tmp_path):
         with open(tasks.bundled_iris_path(), encoding="utf-8") as handle:
             lines = handle.read().splitlines()

@@ -184,6 +184,14 @@ def test_lockstep_trials_each_match_their_plain_loop_on_every_cap():
         assert fast == slow
 
 
+def test_lockstep_trials_without_shrink_are_rejected_before_any_epoch():
+    # The first trial converges at epoch 2, when its row would have to go.
+    epoch, state, _ = rho_maps((0, 3, 2), (0, 1, None))
+    with pytest.raises(ValidationError):
+        training.run_epochs(epoch, state, 0.01, 10)
+    assert state().tolist() == [[0], [0]]
+
+
 def runner_stream(net, seed, variant):
     """The init stream the runner hands a net."""
     entropy = (seed, runner.ROLE_NET_INIT, runner.NETS.index(net), variant)
