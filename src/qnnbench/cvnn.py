@@ -7,8 +7,6 @@ weights, each share times the inverse of its input. Given the error from the
 raw sum, one correction lands the sum exactly on the target; training
 measures the error from the activated signal instead, which leaves a fixed
 point once the output angles are right. No learning rate is involved.
-Training runs the rule as an unchecked kernel; correct_layer is its checked
-public wrapper, the same arithmetic.
 
 Real values in [0, 1] enter and leave the network through map_scalar/unmap
 (half-turn encoding: 0 sits at angle 0, 1 at angle pi, and unmap reflects the
@@ -139,26 +137,14 @@ def forward(net: ComplexLayerStack, x) -> np.ndarray:
 
 
 def _correct(weights, inputs, errors):
-    return weights + (errors[:, None] / inputs.size) / inputs[None, :]
-
-
-def correct_layer(weights, inputs, errors) -> np.ndarray:
     """The error-correction rule for one layer; returns the new weights.
 
     Each neuron's error is split evenly over its incoming weights, and each
     share is multiplied by the inverse of the signal that weight carries.
     With errors = target - weights @ inputs, every new sum equals its target.
-    This is the checked public form of the kernel that training runs.
+    Unchecked: training's checks keep every input signal nonzero.
     """
-    weights = np.asarray(weights, dtype=complex)
-    inputs = np.asarray(inputs, dtype=complex)
-    errors = np.asarray(errors, dtype=complex)
-    shape = errors.shape + inputs.shape
-    if inputs.ndim != 1 or errors.ndim != 1 or weights.shape != shape:
-        raise ValidationError("weights must be an (errors, inputs) matrix")
-    if np.any(inputs == 0):
-        raise ValidationError("zero input signal has no inverse")
-    return _correct(weights, inputs, errors)
+    return weights + (errors[:, None] / inputs.size) / inputs[None, :]
 
 
 def _pair_errors(weights, outputs, targets):

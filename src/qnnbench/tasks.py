@@ -7,11 +7,13 @@ carry the measurement functional the task is read out with: the parity gates
 keep the squared-correlation readout, while AND/OR/NAND/NOR use basis-state
 projectors, because the squared correlation summed over the four basis inputs
 is invariant under any schedule and those four tables are unreachable with it.
+Witness states carry no phases, so the classical encodings read the real
+parts of a density matrix; they reject a state with a phase.
 """
 
 import importlib.resources
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ GATE_NAMES = tuple(GATE_TABLES)
 PARITY_GATES = ("XOR", "XNOR")
 
 SPECIES_ORDER = ("setosa", "versicolor", "virginica")
+FEATURE_NAMES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
 
 _BASIS_STATES = (
     PureState(1.0, 0.0, 0.0, 0.0),
@@ -58,14 +61,6 @@ _GATE_READOUTS = {
 class GateTask:
     name: str
     pairs: Tuple[Tuple[Tuple[int, int], int], ...]
-
-    def __post_init__(self):
-        if self.name not in GATE_TABLES:
-            raise ValidationError(f"unknown gate {self.name!r}")
-        if tuple(bits for bits, _ in self.pairs) != BIT_ROWS:
-            raise ValidationError("gate rows must cover 00,01,10,11 in order")
-        if any(t not in (0, 1) for _, t in self.pairs):
-            raise ValidationError("gate targets must be bits")
 
 
 def gate_dataset(name: str) -> GateTask:
@@ -203,9 +198,14 @@ def split_stratified(records, n_train: int, seed: int):
 
 def feature_bounds(records):
     """Per-feature (min, max) over the full dataset; frozen before splitting
-    so the scaling cannot drift when the training size changes."""
+    so the scaling cannot drift when the training size changes. A feature
+    that takes one value throughout has no scale and is rejected."""
     table = np.array([r.features() for r in records])
-    return table.min(axis=0), table.max(axis=0)
+    mins, maxs = table.min(axis=0), table.max(axis=0)
+    for name, low, high in zip(FEATURE_NAMES, mins, maxs):
+        if low == high:
+            raise DatasetIntegrityError(f"feature {name} is {low:g} on every record")
+    return mins, maxs
 
 
 def iris_encode_onehot(record: IrisRecord, bounds):
@@ -264,16 +264,11 @@ _CANONICAL_WITNESS_STATES = (
 )
 
 
-def sample_pure_state(rng, zero_phases: bool = False) -> PureState:
-    """Amplitudes are the absolute values of a 4-dimensional standard normal,
-    normalized; phases are uniform turns unless suppressed."""
+def sample_pure_state(rng) -> PureState:
+    """A zero-phase state whose amplitudes are the absolute values of a
+    4-dimensional standard normal, normalized."""
     rng = np.random.default_rng(rng)
-    amps = np.abs(rng.standard_normal(4))
-    if zero_phases:
-        phases = (0.0, 0.0, 0.0)
-    else:
-        phases = tuple(rng.uniform(0.0, 2.0 * np.pi, 3))
-    return PureState.from_amplitudes(amps, phases)
+    return PureState.from_amplitudes(np.abs(rng.standard_normal(4)))
 
 
 def witness_dataset(n: int, seed: int) -> List[WitnessPair]:
@@ -284,30 +279,32 @@ def witness_dataset(n: int, seed: int) -> List[WitnessPair]:
     states = list(_CANONICAL_WITNESS_STATES[:n])
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     while len(states) < n:
-        states.append(sample_pure_state(rng, zero_phases=True))
+        states.append(sample_pure_state(rng))
     return [WitnessPair(s, eof_pure(s)) for s in states]
 
 
 def witness_testset(n: int, seed: int) -> List[WitnessPair]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    states = [sample_pure_state(rng, zero_phases=True) for _ in range(n)]
+    states = [sample_pure_state(rng) for _ in range(n)]
     return [WitnessPair(s, eof_pure(s)) for s in states]
 
 
 def witness_encode_rvnn(pair: WitnessPair):
     """The 16 density-matrix entries, flattened; real parts only, which loses
-    nothing here because witness states carry no phases."""
+    nothing because the state must carry no phases."""
+    if any(pair.state.phases()):
+        raise ValidationError("classical witness encodings need a zero-phase state")
     entries = pure_to_density(pair.state).real.reshape(-1)
     return entries, np.array([pair.target])
 
 
 def witness_encode_cvnn(pair: WitnessPair):
-    """Zero-phase pure-state entries all lie in [0, 1], so each entry rides
-    the unit circle through the scalar mapping; a raw complex encoding would
-    put sparse states' zero entries at the origin, where the inverse-signal
-    rule cannot update."""
+    """Zero-phase pure-state entries are products of two amplitudes in
+    [0, 1], so each entry rides the unit circle through the scalar mapping;
+    a raw complex encoding would put sparse states' zero entries at the
+    origin, where the inverse-signal rule cannot update."""
     entries, target = witness_encode_rvnn(pair)
-    x = np.array([cvnn.map_scalar(min(1.0, max(0.0, v))) for v in entries])
+    x = np.array([cvnn.map_scalar(v) for v in entries])
     spec = [cvnn.map_scalar(float(target[0]))]
     return x, spec
 

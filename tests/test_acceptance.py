@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from qnnbench import cvnn, qnn, rvnn, tasks
+from qnnbench import cvnn, qnn, rvnn
 from qnnbench.cli import main as cli_main
 from qnnbench.quantum import (
     HamiltonianSchedule,
@@ -36,6 +36,7 @@ from qnnbench.runner import (
     run_gates,
     run_iris,
 )
+from sampling import random_state
 
 LINEAR_GATES = ("AND", "NAND", "OR", "NOR")
 PARITY_GATES = ("XOR", "XNOR")
@@ -152,7 +153,7 @@ def test_propagator_matches_reference_integrator():
     worst = 0.0
     start = time.perf_counter()
     for _ in range(100):
-        state = tasks.sample_pure_state(rng)
+        state = random_state(rng)
         n_slices = int(rng.integers(1, 6))
         values = rng.uniform(-2.0, 2.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(
@@ -177,7 +178,7 @@ def test_evolution_conserves_state_properties():
     eye = np.eye(4)
     worst_trace = worst_herm = worst_purity = worst_unitary = 0.0
     for _ in range(1000):
-        state = tasks.sample_pure_state(rng)
+        state = random_state(rng)
         n_slices = int(rng.integers(1, 5))
         values = rng.uniform(-10.0, 10.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(
@@ -454,8 +455,8 @@ def test_complex_output_correction_is_exact():
         weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         inputs = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) * rng.uniform(0.2, 2.0, n)
         target = complex(rng.standard_normal(), rng.standard_normal())
-        errors = [target - np.dot(weights, inputs)]
-        updated = cvnn.correct_layer(weights[None, :], inputs, errors)[0]
+        errors = np.array([target - np.dot(weights, inputs)])
+        updated = cvnn._correct(weights[None, :], inputs, errors)[0]
         worst = max(worst, abs(np.dot(updated, inputs) - target))
     check(
         worst <= 1e-10,
@@ -483,9 +484,9 @@ def test_gradient_checks():
     rng = np.random.default_rng(78)
     schedule = qnn.random_schedule(2, 1.0, rng)
     batch = [
-        (tasks.sample_pure_state(rng), 0.25),
-        (tasks.sample_pure_state(rng), 0.75),
-        (tasks.sample_pure_state(rng), 0.5),
+        (random_state(rng), 0.25),
+        (random_state(rng), 0.75),
+        (random_state(rng), 0.5),
     ]
     h = 8e-3
     arrays = (schedule.as_array(), schedule.dt, *qnn._batch(batch))

@@ -27,6 +27,16 @@ class TestConfigResolution:
         assert config.nets == ("qnn", "cvnn")
         assert config.seeds == (3, 1, 4)
 
+    def test_train_size_flag_reaches_the_config(self):
+        assert config_from_args(parse(["iris"])).train_size is None
+        assert config_from_args(parse(["iris", "--train-size", "30"])).train_size == 30
+        config = config_from_args(parse(["entanglement", "--train-size", "12"]))
+        assert config.train_size == 12
+
+    def test_timing_flag_turns_timing_on(self):
+        assert config_from_args(parse(["gates"])).timing is False
+        assert config_from_args(parse(["gates", "--timing"])).timing is True
+
     def test_flag_values_reach_net_params(self):
         config = config_from_args(
             parse(
@@ -242,6 +252,7 @@ class TestMain:
             {"nets": ["foo"]},
             {"net_params": {"qnn": {"learning_rate": 10**400}}},
             {"net_params": {"qnn": {"t_f": 10**400}}},
+            ["entanglement"],
         ],
         ids=[
             "fractional-train-size",
@@ -257,6 +268,7 @@ class TestMain:
             "bad-value-overridden-by-a-flag",
             "learning-rate-too-large-for-a-float",
             "t-f-too-large-for-a-float",
+            "json-array",
         ],
     )
     def test_mistyped_config_file_exits_one(self, tmp_path, capsys, payload):
@@ -264,7 +276,10 @@ class TestMain:
         path.write_text(json.dumps(payload), encoding="utf-8")
         code = main(["entanglement", "--nets", "qnn", "--config", str(path)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if isinstance(payload, list):
+            assert "config file must hold a JSON object" in err
 
     def test_bad_iris_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "iris.csv"
@@ -274,6 +289,20 @@ class TestMain:
         )
         assert code == 1
         assert "species" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("net", ["rvnn", "cvnn", "qnn"])
+    def test_iris_csv_with_a_constant_feature_exits_one(self, tmp_path, capsys, net):
+        # Every net stops at the same check, before any scaling divides by 0.
+        from qnnbench.tasks import bundled_iris_path
+
+        with open(bundled_iris_path(), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        flat = [lines[0]] + ["5.0," + row.split(",", 1)[1] for row in lines[1:]]
+        path = tmp_path / "iris.csv"
+        path.write_text("\n".join(flat) + "\n", encoding="utf-8")
+        code = main(["iris", "--nets", net, "--seeds", "0", "--iris-csv", str(path)])
+        assert code == 1
+        assert "feature sepal_length is 5 on every record" in capsys.readouterr().err
 
     def test_non_utf8_iris_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "iris.csv"

@@ -15,6 +15,7 @@ from qnnbench.quantum import (
     reference_propagate,
     schedule_propagator,
 )
+from sampling import random_state
 
 
 def zero_schedule(n_slices=1, total_time=1.0):
@@ -148,7 +149,7 @@ class TestForward:
         rng = np.random.default_rng(19)
         basis = [PureState(*row) for row in np.eye(4)]
         quartet = [p.state for p in tasks.witness_dataset(4, 0)]
-        sampled = [tasks.sample_pure_state(rng) for _ in range(200)]
+        sampled = [random_state(rng) for _ in range(200)]
         for states in (basis, quartet, sampled):
             rhos = qnn.states_to_rhos(states)
             oracle = np.stack([np.outer(s.ket(), s.ket().conj()) for s in states])
@@ -160,7 +161,7 @@ class TestForward:
     def test_batch_outputs_match_single_forward(self):
         rng = np.random.default_rng(3)
         schedule = qnn.random_schedule(4, 1.0, rng)
-        states = [tasks.sample_pure_state(rng) for _ in range(6)]
+        states = [random_state(rng) for _ in range(6)]
         batch = qnn.batch_outputs(qnn.states_to_rhos(states), schedule)
         u = schedule_propagator(schedule)
         singles = [
@@ -178,8 +179,8 @@ class TestForward:
     def test_unsquared_readout_is_linear_in_the_state(self):
         rng = np.random.default_rng(11)
         readout = qnn.basis_projector(1, 2)
-        r1 = qnn.states_to_rhos([tasks.sample_pure_state(rng)])
-        r2 = qnn.states_to_rhos([tasks.sample_pure_state(rng)])
+        r1 = qnn.states_to_rhos([random_state(rng)])
+        r2 = qnn.states_to_rhos([random_state(rng)])
         mix = 0.3 * r1 + 0.7 * r2
         expected = 0.3 * readout.values(r1) + 0.7 * readout.values(r2)
         assert readout.values(mix) == pytest.approx(expected, abs=1e-12)
@@ -193,7 +194,7 @@ class TestGradient:
     def test_zero_at_an_exact_fit(self):
         rng = np.random.default_rng(5)
         schedule = qnn.random_schedule(2, 1.0, rng)
-        states = [tasks.sample_pure_state(rng) for _ in range(4)]
+        states = [random_state(rng) for _ in range(4)]
         rhos = qnn.states_to_rhos(states)
         outs = qnn.batch_outputs(rhos, schedule)
         batch = list(zip(states, outs))
@@ -203,7 +204,7 @@ class TestGradient:
     def test_duplicating_the_batch_leaves_the_mean_gradient_alone(self):
         rng = np.random.default_rng(8)
         schedule = qnn.random_schedule(2, 1.0, rng)
-        batch = [(tasks.sample_pure_state(rng), 0.4), (tasks.sample_pure_state(rng), 0.7)]
+        batch = [(random_state(rng), 0.4), (random_state(rng), 0.7)]
         grad_once = schedule_gradient(schedule, batch)
         grad_twice = schedule_gradient(schedule, batch + batch)
         assert np.allclose(grad_once, grad_twice, atol=1e-12)
@@ -212,9 +213,9 @@ class TestGradient:
         rng = np.random.default_rng(9)
         schedule = qnn.random_schedule(3, 1.0, rng)
         batch = [
-            (tasks.sample_pure_state(rng), 0.2),
-            (tasks.sample_pure_state(rng), 0.9),
-            (tasks.sample_pure_state(rng), 0.5),
+            (random_state(rng), 0.2),
+            (random_state(rng), 0.9),
+            (random_state(rng), 0.5),
         ]
         grad = schedule_gradient(schedule, batch)
         assert np.linalg.norm(grad) > 1e-6
@@ -229,7 +230,7 @@ class TestGradient:
         # error by about 4 on every parameter with a healthy derivative.
         rng = np.random.default_rng(13)
         schedule = qnn.random_schedule(1, 1.0, rng)
-        batch = [(tasks.sample_pure_state(rng), 0.3), (tasks.sample_pure_state(rng), 0.8)]
+        batch = [(random_state(rng), 0.3), (random_state(rng), 0.8)]
         h = 8e-3
         g_h = schedule_gradient(schedule, batch, fd_step=h)
         g_h2 = schedule_gradient(schedule, batch, fd_step=h / 2)
@@ -261,7 +262,7 @@ class TestGradient:
         params = scale * rng.uniform(-1.0, 1.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(params, 1.0)
         batch = [
-            (tasks.sample_pure_state(rng), float(rng.uniform()))
+            (random_state(rng), float(rng.uniform()))
             for _ in range(batch_size)
         ]
         h = qnn.DEFAULT_FD_STEP
@@ -304,7 +305,7 @@ class TestGradient:
     def test_reads_a_slice_matrix_as_its_flat_vector(self):
         rng = np.random.default_rng(21)
         params = rng.uniform(-1.0, 1.0, (2, 5))
-        rhos, targets = qnn._batch([(tasks.sample_pure_state(rng), 0.6)])
+        rhos, targets = qnn._batch([(random_state(rng), 0.6)])
         grad = qnn.gradient(params, 0.5, rhos, targets)
         assert grad.shape == (10,)
         assert np.array_equal(grad, qnn.gradient(params.ravel(), 0.5, rhos, targets))
@@ -489,7 +490,11 @@ class TestTrain:
                 assert sum(sizes[:-1]) <= taken < sum(sizes)
                 reach = min(taken + 2, candidates)
 
-    def test_line_search_that_finds_no_step_leaves_the_schedule(self):
+    @pytest.mark.parametrize("halvings", [qnn.MAX_HALVINGS, 0], ids=["default", "none"])
+    def test_line_search_that_finds_no_step_leaves_the_schedule(self, halvings, monkeypatch):
+        # With no halvings the first candidate stack already holds every
+        # rate, so the second stack is empty.
+        monkeypatch.setattr(qnn, "MAX_HALVINGS", halvings)
         pairs = [tasks.witness_encode_qnn(p) for p in tasks.witness_dataset(4, 0)]
         start = qnn.random_schedule(1, 1.5, 0)
         config = qnn.QnnConfig(learning_rate=1e308, max_epochs=3, backtracking=True)

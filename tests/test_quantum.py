@@ -18,14 +18,9 @@ from qnnbench.quantum import (
     schedule_propagator,
     slice_propagator,
 )
+from sampling import random_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def random_state(rng, zero_phases=False):
-    amps = np.abs(rng.standard_normal(4))
-    phases = (0.0, 0.0, 0.0) if zero_phases else tuple(rng.uniform(0, 2 * np.pi, 3))
-    return PureState.from_amplitudes(amps, phases)
 
 
 def random_schedule(rng, n_slices=4, total_time=1.0, scale=2.0):
@@ -86,6 +81,21 @@ def test_pure_state_norm_is_held_to_the_density_trace_tolerance():
 def test_pure_state_rejects_negative_amplitude():
     with pytest.raises(ValidationError):
         PureState(-1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "components",
+    [(math.nan, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, math.inf)],
+    ids=["amplitude", "phase"],
+)
+def test_pure_state_rejects_non_finite_components(components):
+    with pytest.raises(ValidationError, match="non-finite"):
+        PureState(*components)
+
+
+def test_normalizing_the_zero_vector_is_rejected():
+    with pytest.raises(ValidationError, match="zero vector"):
+        PureState.from_amplitudes(np.zeros(4))
 
 
 def test_purity_of_pure_states():
@@ -164,6 +174,12 @@ def test_propagate_single_tunneling_slice():
 def test_empty_schedule_rejected():
     with pytest.raises(ValidationError):
         HamiltonianSchedule((), 1.0)
+
+
+@pytest.mark.parametrize("size", [0, 7])
+def test_schedule_from_array_needs_whole_slices(size):
+    with pytest.raises(ValidationError, match="multiple of 5"):
+        HamiltonianSchedule.from_array(np.zeros(size), 1.0)
 
 
 def test_propagator_unitary_random_params():

@@ -20,21 +20,19 @@ SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
 PACKAGE = os.path.join(SRC, "qnnbench")
 
 UNREACHED = {
-    # The one-pair backpropagation oracle the lockstep rvnn step is tested
+    # Oracle: the one-pair backpropagation the lockstep rvnn step is tested
     # against, itself checked against finite differences.
     "rvnn.pair_gradients",
-    # The one-net training entry, which the benchmark wraps.
-    "rvnn.train_to_threshold",
-    # The checked public form of the cvnn correction kernel, which the
-    # acceptance gate certifies.
-    "cvnn.correct_layer",
-    # The batch loss that the finite-difference gradient differentiates,
-    # which the gradient and training tests measure descent with.
+    # Oracle: the batch loss that the finite-difference gradient
+    # differentiates, which the gradient and training tests measure descent
+    # with.
     "qnn.batch_loss",
-    # The RK4 oracle for every propagator, which the benchmark runs on the
-    # schedules it trains.
+    # Oracle: the RK4 integrator every propagator is tested against, which
+    # the benchmark also runs on the schedules it trains.
     "quantum.reference_propagate",
-    # The one-slice propagator, which the benchmark wraps.
+    # Benchmark hook: the one-net rvnn training entry, which it wraps.
+    "rvnn.train_to_threshold",
+    # Benchmark hook: the one-slice propagator, which it wraps.
     "quantum.slice_propagator",
 }
 

@@ -38,6 +38,10 @@ class TestRmsPercent:
         with pytest.raises(ValidationError):
             rms_percent([[1.0, 2.0]], [[1.0]])
 
+    def test_empty_input_is_rejected(self):
+        with pytest.raises(ValidationError, match="at least one value"):
+            rms_percent([], [])
+
 
 # A one-wide training set whose class means are 0.1, 0.5 and 0.9.
 MEANS_TRAIN = ([[0.0], [0.2], [0.4], [0.6], [0.8], [1.0]], [0, 0, 1, 1, 2, 2])
@@ -121,6 +125,10 @@ class TestRunReport:
             report(experiment="")
         with pytest.raises(ValidationError):
             report(wall_time_ms=-1.0)
+        with pytest.raises(ValidationError, match="epochs_used"):
+            report(epochs_used=-1)
+        with pytest.raises(ValidationError, match="test RMS"):
+            report(test_rms_pct=-0.1)
 
     def test_optional_metrics_default_to_none(self):
         r = report()
@@ -180,6 +188,10 @@ class TestMarkdown:
         ]
         text = reports_to_markdown(rows)
         assert "| rvnn | 3 | 3/3 | 30.0 |" in text
+
+    def test_empty_report_list_is_rejected(self):
+        with pytest.raises(ValidationError):
+            reports_to_markdown([])
 
 
 class TestEmit:

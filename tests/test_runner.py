@@ -63,6 +63,8 @@ class TestConfig:
             ("net_params", [1]),
             ("timing", "false"),
             ("iris_path", 2.5),
+            ("train_size", 0),
+            ("net_params", {"dnn": {}}),
         ],
     )
     def test_rejects_a_field_of_the_wrong_shape(self, field, value):

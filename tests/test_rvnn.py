@@ -70,6 +70,14 @@ def test_forward_rejects_wrong_length():
 
 
 def test_stack_validation():
+    with pytest.raises(ValidationError, match="one bias vector per weight matrix"):
+        rvnn.RealLayerStack([], [])
+    with pytest.raises(ValidationError, match="one bias vector per weight matrix"):
+        rvnn.RealLayerStack([np.zeros((2, 3))], [np.zeros(2), np.zeros(1)])
+    with pytest.raises(ValidationError, match="shapes disagree"):
+        rvnn.RealLayerStack([np.zeros((2, 3))], [np.zeros(3)])
+    with pytest.raises(ValidationError, match="shapes disagree"):
+        rvnn.RealLayerStack([np.zeros(3)], [np.zeros(3)])
     with pytest.raises(ValidationError):
         rvnn.RealLayerStack([np.zeros((2, 3)), np.zeros((2, 4))],
                             [np.zeros(2), np.zeros(2)])

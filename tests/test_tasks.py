@@ -1,6 +1,9 @@
 """Tests for task definitions: gate tables and encodings, Iris loading and
 splitting, and the entanglement-witness datasets."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,23 @@ class TestIrisLoading:
         with pytest.raises(DatasetIntegrityError):
             tasks.load_iris(path)
 
+    def test_a_species_off_fifty_fails_the_totals_check(self, tmp_path):
+        # 150 records, but one setosa relabeled: 49 setosa and 51 versicolor.
+        with open(tasks.bundled_iris_path(), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert lines[1].endswith(",setosa")
+        lines[1] = lines[1].replace(",setosa", ",versicolor")
+        path = write_iris(tmp_path, lines)
+        with pytest.raises(DatasetIntegrityError, match="expected 50 setosa, found 49"):
+            tasks.load_iris(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        with open(tasks.bundled_iris_path(), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        spaced = ["", lines[0], "   "] + lines[1:60] + ["", "\t"] + lines[60:] + [""]
+        path = write_iris(tmp_path, spaced)
+        assert tasks.load_iris(path) == tasks.load_iris()
+
 
 @pytest.fixture(scope="module")
 def records():
@@ -196,6 +216,12 @@ class TestIrisSplit:
 
 
 class TestIrisEncoding:
+    def test_a_feature_with_one_value_has_no_bounds(self, records):
+        # Scaling would divide by max - min = 0.
+        flat = [dataclasses.replace(r, sepal_length=5.0) for r in records]
+        with pytest.raises(DatasetIntegrityError, match="sepal_length is 5 on every record"):
+            tasks.feature_bounds(flat)
+
     def test_onehot_encoding_scales_into_the_unit_interval(self, records):
         bounds = tasks.feature_bounds(records)
         for record in records:
@@ -275,6 +301,7 @@ class TestWitness:
         for _ in range(50):
             s = tasks.sample_pure_state(rng)
             assert s.a**2 + s.b**2 + s.c**2 + s.d**2 == pytest.approx(1.0, abs=1e-12)
+            assert s.phases() == (0.0, 0.0, 0.0)
 
     def test_rvnn_encoding_flattens_the_density_matrix(self):
         pair = tasks.witness_dataset(4, seed=0)[1]
@@ -290,6 +317,17 @@ class TestWitness:
         assert x.shape == (16,)
         assert np.allclose(np.abs(x), 1.0)
         assert spec == [cvnn.map_scalar(pair.target)]
+
+    def test_classical_encodings_reject_a_phased_state(self):
+        # Real parts alone would read this maximally entangled state as a
+        # density matrix with entries of -0.25.
+        state = PureState.from_amplitudes([0.5] * 4, (math.pi, 0.0, 0.0))
+        pair = tasks.WitnessPair(state, eof_pure(state))
+        assert pair.target == pytest.approx(1.0, abs=1e-12)
+        for encode in (tasks.witness_encode_rvnn, tasks.witness_encode_cvnn):
+            with pytest.raises(ValidationError, match="zero-phase"):
+                encode(pair)
+        assert tasks.witness_encode_qnn(pair) == (state, pair.target)
 
     def test_qnn_encoding_is_the_bare_state_and_value(self):
         pair = tasks.witness_dataset(4, seed=0)[3]
