@@ -5,7 +5,9 @@ time propagation, the observables that network readouts measure, and the
 closed-form entanglement of formation. All operations are pure functions;
 hbar = 1 throughout.
 
-A density matrix is a complex (4, 4) array, a stack of them (n, 4, 4). The
+A PureState is four nonnegative real amplitudes, as is every state the
+tasks build. A density matrix is a complex (4, 4) array, a stack of them
+(n, 4, 4); the propagators and readouts take any, phased or not. The
 program builds every one as |psi><psi| of a validated PureState through
 states_to_rhos (pure_to_density is its one-state case). PureState holds its
 squared norm to TRACE_TOL of 1, so each is Hermitian and positive
@@ -48,23 +50,17 @@ DEFAULT_TOTAL_TIME = 1.0
 
 @dataclass(frozen=True)
 class PureState:
-    """Two-qubit pure state with nonnegative amplitudes and explicit phases.
-
-    The state vector is (a, b e^{i theta1}, c e^{i theta2}, d e^{i theta3});
-    amplitudes carry the magnitudes, phases carry all sign information.
-    """
+    """Two-qubit pure state (a, b, c, d) in the |00>,|01>,|10>,|11> basis,
+    four nonnegative real amplitudes of unit norm."""
 
     a: float
     b: float
     c: float
     d: float
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta3: float = 0.0
 
     def __post_init__(self):
         amps = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in amps + self.phases()):
+        if not all(math.isfinite(v) for v in amps):
             raise ValidationError("pure state has non-finite components")
         if any(v < 0 for v in amps):
             raise ValidationError("amplitudes must be nonnegative")
@@ -74,29 +70,19 @@ class PureState:
                 f"state not normalized: |amplitudes|^2 = {norm_sq!r}"
             )
 
-    def phases(self):
-        return (self.theta1, self.theta2, self.theta3)
-
     @classmethod
-    def from_amplitudes(cls, raw, phases=(0.0, 0.0, 0.0)):
+    def from_amplitudes(cls, raw):
         """Normalize a raw nonnegative 4-vector into a PureState."""
         raw = np.asarray(raw, dtype=float)
         norm = float(np.linalg.norm(raw))
         if norm == 0.0:
             raise ValidationError("cannot normalize the zero vector")
         a, b, c, d = (raw / norm).tolist()
-        return cls(a, b, c, d, *phases)
+        return cls(a, b, c, d)
 
     def ket(self):
-        """Complex state vector in the |00>,|01>,|10>,|11> basis."""
-        return np.array(
-            [
-                self.a,
-                self.b * np.exp(1j * self.theta1),
-                self.c * np.exp(1j * self.theta2),
-                self.d * np.exp(1j * self.theta3),
-            ]
-        )
+        """The amplitudes as a complex state vector."""
+        return np.array([self.a, self.b, self.c, self.d], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -195,8 +181,8 @@ def propagators(params, dt: float) -> np.ndarray:
         raise ValidationError("Hamiltonian parameters must be finite")
     coeffs = params.reshape(len(params), -1, 5)
     evals, evecs = np.linalg.eigh(build_hamiltonian(coeffs))
-    phases = np.exp(-1j * dt * evals)[..., None, :]
-    unitaries = (evecs * phases) @ evecs.swapaxes(-1, -2).conj()
+    factors = np.exp(-1j * dt * evals)[..., None, :]
+    unitaries = (evecs * factors) @ evecs.swapaxes(-1, -2).conj()
     u = unitaries[:, 0]
     for s in range(1, unitaries.shape[1]):
         u = unitaries[:, s] @ u
@@ -239,13 +225,9 @@ def reference_propagate(
 
 
 def eof_pure(state: PureState) -> float:
-    """Closed-form two-qubit pure-state entanglement, in [0, 1].
-
-    Equals the squared concurrence 4 |a d e^{i theta3} - b c e^{i(theta1 +
-    theta2)}|^2 of the state, which depends on the phases only through
-    theta3 - theta2 - theta1.
-    """
+    """Closed-form two-qubit pure-state entanglement, in [0, 1]: the squared
+    concurrence 4 (a d - b c)^2 (Wootters, PRL 80:2245, 1998). It is summed
+    as three expanded terms; the factored form rounds differently."""
     a, b, c, d = state.a, state.b, state.c, state.d
-    phase = state.theta3 - state.theta2 - state.theta1
-    value = 4 * a * a * d * d + 4 * b * b * c * c - 8 * a * b * c * d * math.cos(phase)
+    value = 4 * a * a * d * d + 4 * b * b * c * c - 8 * a * b * c * d
     return min(1.0, max(0.0, value))

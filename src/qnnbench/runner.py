@@ -104,6 +104,8 @@ class ExperimentConfig:
         ):
             if not isinstance(getattr(self, name), kind):
                 raise ValidationError(f"{name} must be {what}")
+        if self.iris_path is not None and self.experiment != "iris":
+            raise ValidationError("iris_path applies to iris only")
         object.__setattr__(self, "nets", tuple(self.nets))
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.nets:

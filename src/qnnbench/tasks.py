@@ -7,8 +7,8 @@ carry the measurement functional the task is read out with: the parity gates
 keep the squared-correlation readout, while AND/OR/NAND/NOR use basis-state
 projectors, because the squared correlation summed over the four basis inputs
 is invariant under any schedule and those four tables are unreachable with it.
-Witness states carry no phases, so the classical encodings read the real
-parts of a density matrix; they reject a state with a phase.
+A pure state is four nonnegative amplitudes, so its density matrix is real
+and the classical witness encodings read its real parts whole.
 """
 
 import importlib.resources
@@ -227,10 +227,10 @@ QNN_TARGET_WEIGHTS = (0.01, 0.01, 1.0, 1.8)
 
 
 def iris_encode_qnn(record: IrisRecord):
-    """Features become the amplitudes of a phase-free pure state; the target
-    is a fixed quadratic score of the normalized amplitudes that happens to
-    order the species setosa < versicolor < virginica."""
-    state = PureState.from_amplitudes(record.features(), (0.0, 0.0, 0.0))
+    """Features become the amplitudes of a pure state; the target is a
+    fixed quadratic score of the normalized amplitudes that happens to order
+    the species setosa < versicolor < virginica."""
+    state = PureState.from_amplitudes(record.features())
     amps2 = np.array([state.a, state.b, state.c, state.d]) ** 2
     target = float(np.dot(QNN_TARGET_WEIGHTS, amps2))
     return state, target
@@ -265,15 +265,15 @@ _CANONICAL_WITNESS_STATES = (
 
 
 def sample_pure_state(rng) -> PureState:
-    """A zero-phase state whose amplitudes are the absolute values of a
-    4-dimensional standard normal, normalized."""
+    """A state whose amplitudes are the absolute values of a 4-dimensional
+    standard normal, normalized."""
     rng = np.random.default_rng(rng)
     return PureState.from_amplitudes(np.abs(rng.standard_normal(4)))
 
 
 def witness_dataset(n: int, seed: int) -> List[WitnessPair]:
     """The canonical quartet (unentangled, Bell, product superposition,
-    partially entangled), padded with seeded zero-phase samples beyond 4."""
+    partially entangled), padded with seeded samples beyond 4."""
     if n < 1:
         raise ValidationError("need at least one witness pair")
     states = list(_CANONICAL_WITNESS_STATES[:n])
@@ -291,15 +291,13 @@ def witness_testset(n: int, seed: int) -> List[WitnessPair]:
 
 def witness_encode_rvnn(pair: WitnessPair):
     """The 16 density-matrix entries, flattened; real parts only, which loses
-    nothing because the state must carry no phases."""
-    if any(pair.state.phases()):
-        raise ValidationError("classical witness encodings need a zero-phase state")
+    nothing because a state's amplitudes are real."""
     entries = pure_to_density(pair.state).real.reshape(-1)
     return entries, np.array([pair.target])
 
 
 def witness_encode_cvnn(pair: WitnessPair):
-    """Zero-phase pure-state entries are products of two amplitudes in
+    """Pure-state density entries are products of two amplitudes in
     [0, 1], so each entry rides the unit circle through the scalar mapping;
     a raw complex encoding would put sparse states' zero entries at the
     origin, where the inverse-signal rule cannot update."""

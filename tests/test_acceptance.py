@@ -24,7 +24,6 @@ from qnnbench.quantum import (
     HamiltonianSchedule,
     PureState,
     eof_pure,
-    pure_to_density,
     reference_propagate,
     schedule_propagator,
 )
@@ -36,7 +35,7 @@ from qnnbench.runner import (
     run_gates,
     run_iris,
 )
-from sampling import random_state
+from sampling import random_rho
 
 LINEAR_GATES = ("AND", "NAND", "OR", "NOR")
 PARITY_GATES = ("XOR", "XNOR")
@@ -153,13 +152,12 @@ def test_propagator_matches_reference_integrator():
     worst = 0.0
     start = time.perf_counter()
     for _ in range(100):
-        state = random_state(rng)
+        rho = random_rho(rng)
         n_slices = int(rng.integers(1, 6))
         values = rng.uniform(-2.0, 2.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(
             values, float(rng.uniform(0.5, 2.0))
         )
-        rho = pure_to_density(state)
         u = schedule_propagator(schedule)
         direct = u @ rho @ u.conj().T
         stepped = reference_propagate(rho, schedule)
@@ -178,14 +176,14 @@ def test_evolution_conserves_state_properties():
     eye = np.eye(4)
     worst_trace = worst_herm = worst_purity = worst_unitary = 0.0
     for _ in range(1000):
-        state = random_state(rng)
+        rho = random_rho(rng)
         n_slices = int(rng.integers(1, 5))
         values = rng.uniform(-10.0, 10.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(
             values, float(rng.uniform(0.2, 2.0))
         )
         u = schedule_propagator(schedule)
-        rho = u @ pure_to_density(state) @ u.conj().T
+        rho = u @ rho @ u.conj().T
         worst_trace = max(worst_trace, abs(np.trace(rho) - 1.0))
         worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
         worst_purity = max(worst_purity, abs(np.trace(rho @ rho).real - 1.0))
@@ -483,13 +481,10 @@ def test_gradient_checks():
 
     rng = np.random.default_rng(78)
     schedule = qnn.random_schedule(2, 1.0, rng)
-    batch = [
-        (random_state(rng), 0.25),
-        (random_state(rng), 0.75),
-        (random_state(rng), 0.5),
-    ]
+    rhos = np.stack([random_rho(rng) for _ in range(3)])
+    targets = np.array([0.25, 0.75, 0.5])
     h = 8e-3
-    arrays = (schedule.as_array(), schedule.dt, *qnn._batch(batch))
+    arrays = (schedule.as_array(), schedule.dt, rhos, targets)
     g1 = qnn.gradient(*arrays, fd_step=h)
     g2 = qnn.gradient(*arrays, fd_step=h / 2)
     g3 = qnn.gradient(*arrays, fd_step=h / 4)
@@ -501,11 +496,15 @@ def test_gradient_checks():
         ratios.append(coarse / fine)
     richardson_ok = len(ratios) >= 2 and all(abs(r - 4.0) <= 1.0 for r in ratios)
 
-    before = qnn.batch_loss(batch, schedule)
+    def loss(schedule):
+        stack = schedule.as_array()[None]
+        return float(qnn._losses(stack, schedule.dt, rhos, targets, qnn.CORRELATION)[0])
+
+    before = loss(schedule)
     stepped = HamiltonianSchedule.from_array(
         schedule.as_array() - 1e-4 * g2, schedule.total_time
     )
-    after = qnn.batch_loss(batch, stepped)
+    after = loss(stepped)
     descent_ok = float(np.linalg.norm(g2)) > 1e-6 and after < before
 
     check(

@@ -281,6 +281,13 @@ class TestMain:
         if isinstance(payload, list):
             assert "config file must hold a JSON object" in err
 
+    def test_iris_path_outside_iris_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"iris_path": "/nonexistent.csv"}), encoding="utf-8")
+        code = main(["entanglement", "--nets", "qnn", "--config", str(path)])
+        assert code == 1
+        assert "error: iris_path applies to iris only" in capsys.readouterr().err
+
     def test_bad_iris_csv_exits_one(self, tmp_path, capsys):
         path = tmp_path / "iris.csv"
         path.write_text("5.1,3.5,1.4,0.2,unicorn\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from qnnbench.quantum import (
     reference_propagate,
     schedule_propagator,
 )
-from sampling import random_state
+from sampling import random_rho
 
 
 def zero_schedule(n_slices=1, total_time=1.0):
@@ -97,10 +97,22 @@ def xor_trial():
     return pairs, qnn.QnnConfig(learning_rate=20.0, max_epochs=30), start, readout
 
 
-def schedule_gradient(schedule, batch, fd_step=qnn.DEFAULT_FD_STEP):
-    """The gradient at a schedule on a batch of training pairs."""
+def schedule_gradient(schedule, rhos, targets, fd_step=qnn.DEFAULT_FD_STEP):
+    """The gradient at a schedule on density matrices and their targets."""
     params, dt = schedule.as_array(), schedule.dt
-    return qnn.gradient(params, dt, *qnn._batch(batch), fd_step=fd_step)
+    return qnn.gradient(params, dt, rhos, targets, fd_step=fd_step)
+
+
+def schedule_loss(schedule, rhos, targets, readout=qnn.CORRELATION):
+    """The batch loss of one schedule, a one-row stack of the loss train
+    scores its steps with."""
+    stack = schedule.as_array()[None]
+    return float(qnn._losses(stack, schedule.dt, rhos, targets, readout)[0])
+
+
+def random_rhos(rng, n):
+    """n phased density matrices, (n, 4, 4)."""
+    return np.stack([random_rho(rng) for _ in range(n)])
 
 
 def witness_pairs_with_target(target):
@@ -149,7 +161,7 @@ class TestForward:
         rng = np.random.default_rng(19)
         basis = [PureState(*row) for row in np.eye(4)]
         quartet = [p.state for p in tasks.witness_dataset(4, 0)]
-        sampled = [random_state(rng) for _ in range(200)]
+        sampled = [tasks.sample_pure_state(rng) for _ in range(200)]
         for states in (basis, quartet, sampled):
             rhos = qnn.states_to_rhos(states)
             oracle = np.stack([np.outer(s.ket(), s.ket().conj()) for s in states])
@@ -161,13 +173,10 @@ class TestForward:
     def test_batch_outputs_match_single_forward(self):
         rng = np.random.default_rng(3)
         schedule = qnn.random_schedule(4, 1.0, rng)
-        states = [random_state(rng) for _ in range(6)]
-        batch = qnn.batch_outputs(qnn.states_to_rhos(states), schedule)
+        rhos = random_rhos(rng, 6)
+        batch = qnn.batch_outputs(rhos, schedule)
         u = schedule_propagator(schedule)
-        singles = [
-            np.trace(u @ pure_to_density(s) @ u.conj().T @ ZZ).real ** 2
-            for s in states
-        ]
+        singles = [np.trace(u @ rho @ u.conj().T @ ZZ).real ** 2 for rho in rhos]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_projector_readout_solves_and_gate_at_identity(self):
@@ -179,8 +188,8 @@ class TestForward:
     def test_unsquared_readout_is_linear_in_the_state(self):
         rng = np.random.default_rng(11)
         readout = qnn.basis_projector(1, 2)
-        r1 = qnn.states_to_rhos([random_state(rng)])
-        r2 = qnn.states_to_rhos([random_state(rng)])
+        r1 = random_rhos(rng, 1)
+        r2 = random_rhos(rng, 1)
         mix = 0.3 * r1 + 0.7 * r2
         expected = 0.3 * readout.values(r1) + 0.7 * readout.values(r2)
         assert readout.values(mix) == pytest.approx(expected, abs=1e-12)
@@ -194,47 +203,43 @@ class TestGradient:
     def test_zero_at_an_exact_fit(self):
         rng = np.random.default_rng(5)
         schedule = qnn.random_schedule(2, 1.0, rng)
-        states = [random_state(rng) for _ in range(4)]
-        rhos = qnn.states_to_rhos(states)
+        rhos = random_rhos(rng, 4)
         outs = qnn.batch_outputs(rhos, schedule)
-        batch = list(zip(states, outs))
-        grad = schedule_gradient(schedule, batch, fd_step=3e-5)
+        grad = schedule_gradient(schedule, rhos, outs, fd_step=3e-5)
         assert np.max(np.abs(grad)) < 1e-7
 
     def test_duplicating_the_batch_leaves_the_mean_gradient_alone(self):
         rng = np.random.default_rng(8)
         schedule = qnn.random_schedule(2, 1.0, rng)
-        batch = [(random_state(rng), 0.4), (random_state(rng), 0.7)]
-        grad_once = schedule_gradient(schedule, batch)
-        grad_twice = schedule_gradient(schedule, batch + batch)
+        rhos, targets = random_rhos(rng, 2), np.array([0.4, 0.7])
+        grad_once = schedule_gradient(schedule, rhos, targets)
+        grad_twice = schedule_gradient(
+            schedule, np.concatenate([rhos, rhos]), np.concatenate([targets, targets])
+        )
         assert np.allclose(grad_once, grad_twice, atol=1e-12)
 
     def test_points_downhill(self):
         rng = np.random.default_rng(9)
         schedule = qnn.random_schedule(3, 1.0, rng)
-        batch = [
-            (random_state(rng), 0.2),
-            (random_state(rng), 0.9),
-            (random_state(rng), 0.5),
-        ]
-        grad = schedule_gradient(schedule, batch)
+        rhos, targets = random_rhos(rng, 3), np.array([0.2, 0.9, 0.5])
+        grad = schedule_gradient(schedule, rhos, targets)
         assert np.linalg.norm(grad) > 1e-6
-        before = qnn.batch_loss(batch, schedule)
+        before = schedule_loss(schedule, rhos, targets)
         stepped = HamiltonianSchedule.from_array(
             schedule.as_array() - 1e-4 * grad, schedule.total_time
         )
-        assert qnn.batch_loss(batch, stepped) < before
+        assert schedule_loss(stepped, rhos, targets) < before
 
     def test_central_differences_are_second_order(self):
         # Richardson: halving the step should shrink the finite-difference
         # error by about 4 on every parameter with a healthy derivative.
         rng = np.random.default_rng(13)
         schedule = qnn.random_schedule(1, 1.0, rng)
-        batch = [(random_state(rng), 0.3), (random_state(rng), 0.8)]
+        batch = (random_rhos(rng, 2), np.array([0.3, 0.8]))
         h = 8e-3
-        g_h = schedule_gradient(schedule, batch, fd_step=h)
-        g_h2 = schedule_gradient(schedule, batch, fd_step=h / 2)
-        g_h4 = schedule_gradient(schedule, batch, fd_step=h / 4)
+        g_h = schedule_gradient(schedule, *batch, fd_step=h)
+        g_h2 = schedule_gradient(schedule, *batch, fd_step=h / 2)
+        g_h4 = schedule_gradient(schedule, *batch, fd_step=h / 4)
         checked = 0
         for i in range(g_h.size):
             coarse = g_h[i] - g_h2[i]
@@ -261,15 +266,14 @@ class TestGradient:
         rng = np.random.default_rng(10 * n_slices + batch_size)
         params = scale * rng.uniform(-1.0, 1.0, 5 * n_slices)
         schedule = HamiltonianSchedule.from_array(params, 1.0)
-        batch = [
-            (random_state(rng), float(rng.uniform()))
-            for _ in range(batch_size)
-        ]
+        batch = [(random_rho(rng), float(rng.uniform())) for _ in range(batch_size)]
+        rhos = np.stack([rho for rho, _ in batch])
+        targets = np.array([t for _, t in batch])
         h = qnn.DEFAULT_FD_STEP
 
         def loss(values):
             shifted = HamiltonianSchedule.from_array(values, schedule.total_time)
-            return qnn.batch_loss(batch, shifted, readout)
+            return schedule_loss(shifted, rhos, targets, readout)
 
         expected = np.empty_like(params)
         for p in range(params.size):
@@ -283,7 +287,6 @@ class TestGradient:
             sizes.append(int(np.prod(np.shape(matrices)[:-2])))
             return eigh(matrices, *args, **kwargs)
 
-        rhos, targets = qnn._batch(batch)
         monkeypatch.setattr(np.linalg, "eigh", counted)
         stacked = qnn.gradient(params, schedule.dt, rhos, targets, readout, h)
         assert sizes == [10 * n_slices**2]
@@ -291,10 +294,10 @@ class TestGradient:
 
     def test_rejects_a_bad_step(self):
         schedule = zero_schedule()
-        batch = [(BASIS_00, 1.0)]
+        batch = qnn._batch([(BASIS_00, 1.0)])
         for step in (0.0, -1e-3, 2e-2):
             with pytest.raises(ValidationError):
-                schedule_gradient(schedule, batch, fd_step=step)
+                schedule_gradient(schedule, *batch, fd_step=step)
 
     def test_rejects_parameters_that_are_not_whole_slices(self):
         rhos, targets = qnn._batch([(BASIS_00, 1.0), (BASIS_00, 0.0)])
@@ -305,7 +308,7 @@ class TestGradient:
     def test_reads_a_slice_matrix_as_its_flat_vector(self):
         rng = np.random.default_rng(21)
         params = rng.uniform(-1.0, 1.0, (2, 5))
-        rhos, targets = qnn._batch([(random_state(rng), 0.6)])
+        rhos, targets = random_rhos(rng, 1), np.array([0.6])
         grad = qnn.gradient(params, 0.5, rhos, targets)
         assert grad.shape == (10,)
         assert np.array_equal(grad, qnn.gradient(params.ravel(), 0.5, rhos, targets))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qnnbench import qnn
+from qnnbench import qnn, tasks
 from qnnbench.errors import ValidationError
 from qnnbench.quantum import (
     HamiltonianSchedule,
@@ -18,7 +18,7 @@ from qnnbench.quantum import (
     schedule_propagator,
     slice_propagator,
 )
-from sampling import random_state
+from sampling import random_rho
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -57,14 +57,6 @@ def test_pure_to_density_bell_corners():
     assert rho[1, 1] == 0.0
 
 
-def test_pure_to_density_phase():
-    # Hand outer product: psi = (1, i)/sqrt(2) on the first two basis states,
-    # so rho[0,1] = psi0 * conj(psi1) = -i/2.
-    rho = pure_to_density(PureState(INV_SQRT2, INV_SQRT2, 0.0, 0.0, theta1=math.pi / 2))
-    assert rho[0, 1] == pytest.approx(-0.5j, abs=1e-12)
-    assert rho[1, 0] == pytest.approx(0.5j, abs=1e-12)
-
-
 def test_pure_state_rejects_unnormalized():
     with pytest.raises(ValidationError):
         PureState(1.0, 1.0, 0.0, 0.0)
@@ -84,9 +76,7 @@ def test_pure_state_rejects_negative_amplitude():
 
 
 @pytest.mark.parametrize(
-    "components",
-    [(math.nan, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0, math.inf)],
-    ids=["amplitude", "phase"],
+    "components", [(math.nan, 0.0, 0.0, 0.0)], ids=["amplitude"]
 )
 def test_pure_state_rejects_non_finite_components(components):
     with pytest.raises(ValidationError, match="non-finite"):
@@ -101,7 +91,7 @@ def test_normalizing_the_zero_vector_is_rejected():
 def test_purity_of_pure_states():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         assert abs(purity(rho) - 1.0) < 1e-10
 
 
@@ -145,7 +135,7 @@ def test_hamiltonian_hermitian_random():
 
 def test_propagate_identity_for_zero_hamiltonian():
     rng = np.random.default_rng(3)
-    rho = pure_to_density(random_state(rng))
+    rho = random_rho(rng)
     schedule = HamiltonianSchedule((SliceParams(0, 0, 0, 0, 0),) * 3, 2.0)
     out = propagate(rho, schedule)
     assert np.allclose(out, rho, atol=1e-12)
@@ -192,7 +182,7 @@ def test_propagator_unitary_random_params():
 def test_propagation_conserves_trace_hermiticity_purity():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         m = propagate(rho, random_schedule(rng))
         assert abs(np.trace(m).real - 1.0) < 1e-10
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
@@ -202,7 +192,7 @@ def test_propagation_conserves_trace_hermiticity_purity():
 def test_propagation_composes():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         a = SliceParams(*rng.uniform(-2, 2, 5))
         b = SliceParams(*rng.uniform(-2, 2, 5))
         joint = propagate(rho, HamiltonianSchedule((a, b), 1.0))
@@ -216,7 +206,7 @@ def test_propagation_composes():
 def test_propagate_matches_reference_integrator():
     rng = np.random.default_rng(17)
     for _ in range(25):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         schedule = random_schedule(rng, n_slices=int(rng.integers(1, 5)))
         fast = propagate(rho, schedule)
         slow = reference_propagate(rho, schedule)
@@ -245,7 +235,7 @@ def four_stage_rk4(rho, schedule, substeps):
 def test_reference_integrator_is_the_four_stage_rk4_loop():
     rng = np.random.default_rng(29)
     for _ in range(20):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         schedule = random_schedule(
             rng, n_slices=int(rng.integers(1, 6)), total_time=float(rng.uniform(0.5, 2.0))
         )
@@ -259,7 +249,7 @@ def test_reference_integrator_converges_at_fourth_order():
     # 1e-10 to 1e-7, far above rounding, so halving the step cuts it 2^4-fold.
     rng = np.random.default_rng(23)
     for _ in range(6):
-        rho = pure_to_density(random_state(rng))
+        rho = random_rho(rng)
         schedule = random_schedule(rng, n_slices=int(rng.integers(1, 6)))
         exact = propagate(rho, schedule)
         coarse, fine = (
@@ -295,7 +285,7 @@ def test_correlation_squared_equal_amplitudes():
 def test_correlation_squared_range():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        val = correlation_squared(pure_to_density(random_state(rng)))
+        val = correlation_squared(random_rho(rng))
         assert 0.0 <= val <= 1.0
 
 
@@ -305,37 +295,6 @@ def test_eof_pure_reference_values():
     assert eof_pure(PureState(0.5, 0.5, 0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
     partial = PureState(math.sqrt(0.8), 0, 0, math.sqrt(0.2))
     assert eof_pure(partial) == pytest.approx(0.64, abs=1e-12)
-
-
-def test_eof_pure_local_phase_invariance():
-    # Phase rotations applied to either qubit alone touch (theta1, theta3) or
-    # (theta2, theta3) together and must not change the entanglement.
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        s = random_state(rng)
-        phi_a, phi_b = rng.uniform(0, 2 * np.pi, 2)
-        rotated = PureState(
-            s.a,
-            s.b,
-            s.c,
-            s.d,
-            s.theta1 + phi_b,
-            s.theta2 + phi_a,
-            s.theta3 + phi_a + phi_b,
-        )
-        assert eof_pure(rotated) == pytest.approx(eof_pure(s), abs=1e-12)
-
-
-def test_eof_pure_depends_only_on_phase_difference():
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        amps = np.abs(rng.standard_normal(4))
-        t1, t2 = rng.uniform(0, 2 * np.pi, 2)
-        u1, u2 = rng.uniform(0, 2 * np.pi, 2)
-        diff = rng.uniform(0, 2 * np.pi)
-        s1 = PureState.from_amplitudes(amps, (t1, t2, diff + t2 + t1))
-        s2 = PureState.from_amplitudes(amps, (u1, u2, diff + u2 + u1))
-        assert eof_pure(s1) == pytest.approx(eof_pure(s2), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +318,8 @@ def test_correlation_after_propagation_is_quadratic_form():
     def output(state):
         return correlation_squared(propagate(pure_to_density(state), schedule))
 
-    train = [random_state(rng, zero_phases=True) for _ in range(50)]
-    test = [random_state(rng, zero_phases=True) for _ in range(50)]
+    train = [tasks.sample_pure_state(rng) for _ in range(50)]
+    test = [tasks.sample_pure_state(rng) for _ in range(50)]
     x_train = np.array([quadratic_features(pure_to_density(s)) for s in train])
     y_train = np.array([output(s) for s in train])
     coeffs, *_ = np.linalg.lstsq(x_train, y_train, rcond=None)
@@ -392,7 +351,7 @@ def test_stacked_propagators_equal_the_one_schedule_propagator():
             schedule = HamiltonianSchedule.from_array(row, 1.0)
             assert np.array_equal(u, schedule_propagator(schedule))
             if n_slices > 1:
-                rho = pure_to_density(random_state(rng))
+                rho = random_rho(rng)
                 evolved = u @ rho @ u.conj().T
                 assert np.max(np.abs(evolved - reference_propagate(rho, schedule))) < 1e-9
 

@@ -79,6 +79,15 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(experiment="gates", train_size=4)
 
+    @pytest.mark.parametrize("experiment", ["gates", "entanglement"])
+    def test_only_iris_takes_an_iris_path(self, experiment):
+        # Only the iris driver reads the file, so elsewhere a path would be
+        # silently ignored.
+        with pytest.raises(ValidationError, match="iris_path applies to iris only"):
+            ExperimentConfig(experiment=experiment, iris_path="iris.csv")
+        assert ExperimentConfig(experiment=experiment).iris_path is None
+        assert ExperimentConfig(experiment="iris", iris_path="iris.csv").iris_path == "iris.csv"
+
     def test_rejects_unknown_hyperparameter(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(

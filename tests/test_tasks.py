@@ -2,18 +2,17 @@
 splitting, and the entanglement-witness datasets."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from qnnbench import cvnn, qnn, tasks
+from qnnbench import cvnn, qnn, runner, tasks
 from qnnbench.errors import (
     DatasetFormatError,
     DatasetIntegrityError,
     ValidationError,
 )
-from qnnbench.quantum import PureState, eof_pure
+from qnnbench.quantum import PureState, eof_pure, pure_to_density
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +239,6 @@ class TestIrisEncoding:
     def test_qnn_target_is_the_fixed_quadratic_score(self):
         record = tasks.IrisRecord(3.0, 3.0, 4.0, 1e-9, "setosa")
         state, target = tasks.iris_encode_qnn(record)
-        assert state.phases() == (0.0, 0.0, 0.0)
         # amplitudes^2 = (9, 9, 16, ~0)/34, so the weighted score is
         # (0.01*9 + 0.01*9 + 1.0*16)/34 = 16.18/34.
         assert target == pytest.approx(16.18 / 34.0, abs=1e-9)
@@ -277,7 +275,6 @@ class TestWitness:
         pairs = tasks.witness_dataset(10, seed=0)
         assert len(pairs) == 10
         for p in pairs[4:]:
-            assert p.state.phases() == (0.0, 0.0, 0.0)
             assert p.target == pytest.approx(eof_pure(p.state), abs=1e-12)
         again = tasks.witness_dataset(10, seed=0)
         assert [p.state for p in again] == [p.state for p in pairs]
@@ -287,8 +284,6 @@ class TestWitness:
     def test_testset_is_seeded_and_zero_phase(self):
         pairs = tasks.witness_testset(25, seed=0)
         assert len(pairs) == 25
-        for p in pairs:
-            assert p.state.phases() == (0.0, 0.0, 0.0)
         assert tasks.witness_testset(25, seed=0) == pairs
         assert tasks.witness_testset(25, seed=1) != pairs
 
@@ -301,15 +296,25 @@ class TestWitness:
         for _ in range(50):
             s = tasks.sample_pure_state(rng)
             assert s.a**2 + s.b**2 + s.c**2 + s.d**2 == pytest.approx(1.0, abs=1e-12)
-            assert s.phases() == (0.0, 0.0, 0.0)
 
     def test_rvnn_encoding_flattens_the_density_matrix(self):
-        pair = tasks.witness_dataset(4, seed=0)[1]
-        x, t = tasks.witness_encode_rvnn(pair)
-        assert x.shape == (16,)
-        ket = pair.state.ket().real
-        assert np.allclose(x, np.outer(ket, ket).reshape(-1), atol=1e-12)
-        assert np.array_equal(t, [pair.target])
+        # A state's density matrix is real, so the real parts the encoding
+        # keeps are the whole matrix: bit for bit the outer product of the
+        # amplitudes, on every training and test set the runner draws.
+        for seed in range(10):
+            pairs = (
+                tasks.witness_dataset(4, seed)
+                + tasks.witness_dataset(100, seed)
+                + tasks.witness_testset(runner.WITNESS_TEST_SIZE, seed)
+            )
+            for pair in pairs:
+                s = pair.state
+                assert np.all(pure_to_density(s).imag == 0.0)
+                x, t = tasks.witness_encode_rvnn(pair)
+                assert x.shape == (16,)
+                amps = np.array([s.a, s.b, s.c, s.d])
+                assert x.tobytes() == np.outer(amps, amps).ravel().tobytes()
+                assert np.array_equal(t, [pair.target])
 
     def test_cvnn_encoding_rides_the_unit_circle(self):
         pair = tasks.witness_dataset(4, seed=0)[3]
@@ -317,17 +322,6 @@ class TestWitness:
         assert x.shape == (16,)
         assert np.allclose(np.abs(x), 1.0)
         assert spec == [cvnn.map_scalar(pair.target)]
-
-    def test_classical_encodings_reject_a_phased_state(self):
-        # Real parts alone would read this maximally entangled state as a
-        # density matrix with entries of -0.25.
-        state = PureState.from_amplitudes([0.5] * 4, (math.pi, 0.0, 0.0))
-        pair = tasks.WitnessPair(state, eof_pure(state))
-        assert pair.target == pytest.approx(1.0, abs=1e-12)
-        for encode in (tasks.witness_encode_rvnn, tasks.witness_encode_cvnn):
-            with pytest.raises(ValidationError, match="zero-phase"):
-                encode(pair)
-        assert tasks.witness_encode_qnn(pair) == (state, pair.target)
 
     def test_qnn_encoding_is_the_bare_state_and_value(self):
         pair = tasks.witness_dataset(4, seed=0)[3]
