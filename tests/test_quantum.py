@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,31 @@ def test_pure_to_density_bell_corners():
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         assert rho[i, j] == pytest.approx(0.5, abs=1e-12)
     assert rho[1, 1] == 0.0
+
+
+def test_pure_state_is_four_frozen_amplitudes():
+    # Training sets are compared with == and !=, which a bare array state
+    # would make raise, so a state stays a frozen value of four fields.
+    s = PureState(0.6, 0.0, 0.0, 0.8)
+    assert [f.name for f in dataclasses.fields(PureState)] == ["a", "b", "c", "d"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.a = 0.8
+    assert s == PureState(0.6, 0.0, 0.0, 0.8)
+    assert s != PureState(0.8, 0.0, 0.0, 0.6)
+
+
+def test_ket_is_the_zero_phase_ket_bit_for_bit():
+    # Every density matrix and encoding is built from ket(); it must equal
+    # the phase-factor form at zero phase to the last bit, or targets and
+    # training runs would move.
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        s = tasks.sample_pure_state(rng)
+        zero_phase = np.array(
+            [s.a, s.b * np.exp(1j * 0.0), s.c * np.exp(1j * 0.0), s.d * np.exp(1j * 0.0)]
+        )
+        assert s.ket().dtype == np.complex128
+        assert s.ket().tobytes() == zero_phase.tobytes()
 
 
 def test_pure_state_rejects_unnormalized():
@@ -295,6 +321,20 @@ def test_eof_pure_reference_values():
     assert eof_pure(PureState(0.5, 0.5, 0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
     partial = PureState(math.sqrt(0.8), 0, 0, math.sqrt(0.2))
     assert eof_pure(partial) == pytest.approx(0.64, abs=1e-12)
+
+
+def test_eof_pure_is_the_squared_wootters_concurrence():
+    # For a pure rho the spin-flipped product rho (Y x Y) rho* (Y x Y) has
+    # one nonzero eigenvalue, the squared concurrence, so its trace is the
+    # target; this reads the density matrix, not the amplitudes.
+    yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+    rng = np.random.default_rng(43)
+    states = [p.state for p in tasks.witness_dataset(4, seed=0)]
+    states += [tasks.sample_pure_state(rng) for _ in range(100)]
+    for s in states:
+        rho = pure_to_density(s)
+        concurrence_sq = np.trace(rho @ yy @ rho.conj() @ yy).real
+        assert eof_pure(s) == pytest.approx(concurrence_sq, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
