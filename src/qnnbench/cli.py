@@ -47,7 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "markdown"), default=None)
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
         p.add_argument("--config", default=None, help="JSON ExperimentConfig; flags override it")
-        p.add_argument("--timing", action="store_true", help="record wall-clock times")
         if name == "iris":
             p.add_argument("--iris-csv", default=None, help="alternate Iris CSV path")
     return parser
@@ -94,8 +93,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         flags["output_format"] = args.format
     if getattr(args, "iris_csv", None) is not None:
         flags["iris_path"] = args.iris_csv
-    if args.timing:
-        flags["timing"] = True
 
     net_params = {net: dict(o) for net, o in config.net_params.items()}
     # Each per-net flag reaches the selected nets whose defaults carry its key.

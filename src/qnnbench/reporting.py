@@ -10,8 +10,8 @@ training modules, which work in fractions.
 """
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -80,12 +80,13 @@ def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
 
 @dataclass(frozen=True)
 class RunReport:
-    """One trained network's results, one row of the emitted CSV.
+    """One trained network's results: its fields are the emitted CSV's
+    columns, in order, except the last, a wall time that always reads 0.0
+    so that identical runs emit identical bytes.
 
     The experiment label carries the task variant after a colon
     ("gates:AND", "iris:75", "entanglement:4") so rows stay self-describing
-    without extra columns. Hyperparameters travel with the report for
-    inspection but are never serialized into the CSV.
+    without extra columns.
     """
 
     experiment: str
@@ -96,8 +97,6 @@ class RunReport:
     train_rms_pct: float
     test_rms_pct: Optional[float] = None
     accuracy_pct: Optional[float] = None
-    wall_time_ms: float = 0.0
-    hyperparameters: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.experiment:
@@ -112,8 +111,6 @@ class RunReport:
             raise ValidationError("test RMS percentage must be >= 0")
         if self.accuracy_pct is not None and not 0 <= self.accuracy_pct <= 100:
             raise ValidationError("accuracy must lie in [0, 100]")
-        if self.wall_time_ms < 0:
-            raise ValidationError("wall time must be >= 0")
 
 
 def _fmt(value, decimals=4) -> str:
@@ -142,7 +139,7 @@ def reports_to_csv(reports: Sequence[RunReport]) -> str:
                     _fmt(r.train_rms_pct),
                     _fmt(r.test_rms_pct),
                     _fmt(r.accuracy_pct),
-                    _fmt(r.wall_time_ms, 1),
+                    "0.0",
                 )
             )
         )

@@ -10,10 +10,14 @@ call of its net's step. A table's rvnn trials are one group, trained by
 rvnn.train_lockstep in one spawned worker that sends back their
 RunReports; meanwhile this process runs each cvnn and qnn trial as a group
 of one. The cvnn and qnn entry points are looked up on their modules at
-every call, so a replacement installed there is what runs. The worker
-imports the modules afresh, and the main module too, so a script that runs
-rvnn trials keeps its entry code under an
-`if __name__ == "__main__":` guard.
+every call, so a replacement installed there is what runs. The benchmark
+relies on this: bench/workload.py (observe_training, install_spans) wraps
+cvnn.train_to_threshold and qnn.train on their modules. So do the tests
+TestTrialPipeline::test_entry_points_are_looked_up_at_call_time and the
+TestRvnnWorker tests that patch qnn.train, in test_runner.py, and the
+witness_ten_seeds fixture of test_acceptance.py. The worker imports the
+modules afresh, and the main module too, so a script that runs rvnn trials
+keeps its entry code under an `if __name__ == "__main__":` guard.
 
 Every stochastic choice in a trial (weight init, dataset split, sampling)
 draws from a stream derived from the trial's root seed and a fixed role tag,
@@ -21,14 +25,9 @@ so one integer reproduces a whole table and trials stay independent of the
 order they run in. Role tags 1 (iris split), 2 (witness training sampler),
 and 3 (witness test set) live in the tasks module; this module adds 4 for
 network initialization, further split by net and task variant.
-
-Wall-clock timing is off by default so that repeated runs of the same
-config serialize to identical bytes; pass timing=True to charge each trial
-an equal share of its group's build and train time, plus its own scoring.
 """
 
 import contextlib
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -90,7 +89,6 @@ class ExperimentConfig:
     output_format: str = "csv"
     net_params: Dict[str, Dict[str, object]] = field(default_factory=dict)
     iris_path: Optional[str] = None
-    timing: bool = False
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -99,7 +97,6 @@ class ExperimentConfig:
             ("nets", (list, tuple), "a list"),
             ("seeds", (list, tuple), "a list"),
             ("net_params", dict, "a dict"),
-            ("timing", bool, "a bool"),
             ("iris_path", (str, type(None)), "a string or None"),
         ):
             if not isinstance(getattr(self, name), kind):
@@ -239,8 +236,8 @@ def _qnn_step(params, trials):
 _NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
-def _report(config, trial, result, predict, start):
-    """Predict and score one trained trial; its wall time runs from start."""
+def _report(trial, result, predict):
+    """Predict and score one trained trial."""
     net, seed, data = trial
     train_outs = predict([x for x, _ in data.train])
     train_rms = rms_percent(train_outs, data.train_targets)
@@ -261,8 +258,6 @@ def _report(config, trial, result, predict, start):
         train_rms_pct=train_rms,
         test_rms_pct=test_rms,
         accuracy_pct=accuracy,
-        wall_time_ms=1000.0 * (time.perf_counter() - start) if config.timing else 0.0,
-        hyperparameters=config.resolved(net),
     )
 
 
@@ -270,12 +265,10 @@ def _run_group(config, group):
     """Build, train, predict and score a group of (net, seed, data) trials of
     one net by one step call; returns their RunReports."""
     net = group[0][0]
-    start = time.perf_counter()
     members = [(data, _init_stream(net, seed, data), seed) for net, seed, data in group]
     trained = _NET_STEPS[net](config.resolved(net), members)
-    share = (time.perf_counter() - start) / len(group)
     return [
-        _report(config, trial, result, predict, time.perf_counter() - share)
+        _report(trial, result, predict)
         for trial, (result, predict) in zip(group, trained)
     ]
 

@@ -33,10 +33,6 @@ class TestConfigResolution:
         config = config_from_args(parse(["entanglement", "--train-size", "12"]))
         assert config.train_size == 12
 
-    def test_timing_flag_turns_timing_on(self):
-        assert config_from_args(parse(["gates"])).timing is False
-        assert config_from_args(parse(["gates", "--timing"])).timing is True
-
     def test_flag_values_reach_net_params(self):
         config = config_from_args(
             parse(
@@ -262,7 +258,7 @@ class TestMain:
             "int-nets",
             "int-net-params-entry",
             "list-net-params",
-            "string-timing",
+            "timing-is-an-unknown-key",
             "float-iris-path",
             "int-iris-path",
             "bad-value-overridden-by-a-flag",

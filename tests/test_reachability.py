@@ -23,9 +23,10 @@ UNREACHED = {
     # Oracle: the one-pair backpropagation the lockstep rvnn step is tested
     # against, itself checked against finite differences.
     "rvnn.pair_gradients",
-    # Oracle: the batch loss that the finite-difference gradient
-    # differentiates, which the gradient and training tests measure descent
-    # with.
+    # Oracle: the one-schedule batch loss. In test_qnn.py, sequential_armijo,
+    # test_fixed_step_is_plain_gradient_descent and
+    # test_backtracking_never_raises_the_training_loss score training with
+    # it, and BATCH_ENTRIES checks its batch validation.
     "qnn.batch_loss",
     # Oracle: the RK4 integrator every propagator is tested against, which
     # the benchmark also runs on the schedules it trains.
@@ -104,9 +105,9 @@ def test_every_function_is_reached_by_a_run_or_named(tmp_path):
     bad_csv.write_text("5.1,3.5,1.4,0.2,unicorn\n")
     common = ["--config", str(config), "--nets", "rvnn,cvnn,qnn"]
     runs = [
-        ["gates", *common, "--seeds", "0,1", "--timing"],
+        ["gates", *common, "--seeds", "0,1"],
         ["iris", *common, "--seeds", "0", "--format", "markdown"],
-        ["entanglement", *common, "--seeds", "0", "--timing"],
+        ["entanglement", *common, "--seeds", "0"],
         ["iris", "--nets", "qnn", "--iris-csv", str(bad_csv)],
     ]
     hooks, out = tmp_path / "hooks", tmp_path / "called"

@@ -61,7 +61,6 @@ class TestConfig:
             ("nets", "qnn"),
             ("net_params", {"qnn": 3}),
             ("net_params", [1]),
-            ("timing", "false"),
             ("iris_path", 2.5),
             ("train_size", 0),
             ("net_params", {"dnn": {}}),
@@ -205,10 +204,6 @@ class TestGatesRun:
             assert r.converged
             assert r.train_rms_pct <= 1.0 + 1e-9
 
-    def test_hyperparameters_travel_with_the_report(self, reports):
-        qnn_rows = [r for r in reports if r.net == "qnn"]
-        assert all(r.hyperparameters["slices"] == 4 for r in qnn_rows)
-
 
 class TestIrisRun:
     def test_small_split_produces_full_metrics(self):
@@ -253,7 +248,6 @@ class TestEntanglementRun:
         assert r.experiment == "entanglement:4"
         assert r.test_rms_pct is not None
         assert r.accuracy_pct is None
-        assert r.hyperparameters["slices"] == 1
 
     def test_train_size_label(self):
         config = ExperimentConfig(
@@ -266,22 +260,29 @@ class TestEntanglementRun:
         assert run_entanglement(config)[0].experiment == "entanglement:20"
 
 
-class TestDeterminismAndTiming:
+class TestDeterminism:
     def test_identical_configs_serialize_identically(self):
+        # The rvnn rows are built in the spawned worker, so their bytes are
+        # compared across two workers.
         config = ExperimentConfig(
             experiment="entanglement",
-            nets=("cvnn", "qnn"),
             seeds=(0, 1),
-            net_params={"qnn": {"max_epochs": 60}, "cvnn": {"max_epochs": 40}},
+            net_params={
+                "rvnn": {"max_epochs": 30},
+                "qnn": {"max_epochs": 60},
+                "cvnn": {"max_epochs": 40},
+            },
         )
         first = reports_to_csv(run_experiment(config))
         second = reports_to_csv(run_experiment(config))
         assert first == second
+        nets = {line.split(",")[1] for line in first.splitlines()[1:]}
+        assert nets == {"rvnn", "cvnn", "qnn"}
 
-    def test_wall_time_is_zero_unless_requested(self):
-        # Two seeds of every net: the rvnn trials share one lockstep group's
-        # time, and each cvnn and qnn trial is timed as a group of its own.
-        base = dict(
+    def test_every_row_reads_zero_wall_time(self):
+        # Two seeds of every net: the rvnn rows come from the worker's
+        # lockstep group, each cvnn and qnn row from a group of its own.
+        config = ExperimentConfig(
             experiment="entanglement",
             seeds=(0, 1),
             net_params={
@@ -290,11 +291,11 @@ class TestDeterminismAndTiming:
                 "qnn": {"max_epochs": 20},
             },
         )
-        silent = run_experiment(ExperimentConfig(**base))
-        timed = run_experiment(ExperimentConfig(timing=True, **base))
-        assert sorted(r.net for r in timed) == sorted(2 * ["rvnn", "cvnn", "qnn"])
-        assert all(r.wall_time_ms == 0.0 for r in silent)
-        assert all(r.wall_time_ms > 0.0 for r in timed)
+        lines = reports_to_csv(run_experiment(config)).splitlines()
+        assert lines[0].split(",")[-1] == "wall_time_ms"
+        rows = [line.split(",") for line in lines[1:]]
+        assert sorted(row[1] for row in rows) == sorted(2 * ["rvnn", "cvnn", "qnn"])
+        assert all(row[-1] == "0.0" for row in rows)
 
     def test_dispatch_routes_by_experiment(self):
         config = ExperimentConfig(
@@ -399,6 +400,19 @@ class TestTrialPipeline:
         assert runner._run_group(config, group) == reports[:1]
         built = {net: args[0] for net, args, _ in calls}
         assert {"rvnn": tuple(built["rvnn"]), "cvnn": built["cvnn"].sizes} == sizes
+
+    @pytest.mark.parametrize("experiment, slices", [("gates", 4), ("entanglement", 1)])
+    def test_resolved_slices_reach_every_qnn_trial(self, monkeypatch, experiment, slices):
+        calls = []
+        _counting(monkeypatch, qnn, "train", calls, "qnn")
+        config = ExperimentConfig(
+            experiment=experiment, nets=("qnn",), seeds=(1,),
+            net_params={"qnn": {"max_epochs": 2}},
+        )
+        reports = run_experiment(config)
+        assert config.resolved("qnn")["slices"] == slices
+        assert len(calls) == len(reports) == (6 if experiment == "gates" else 1)
+        assert [len(args[2].slices) for _, args, _ in calls] == len(calls) * [slices]
 
 
 @pytest.fixture
