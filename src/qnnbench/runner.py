@@ -341,13 +341,7 @@ def run_gates(config: ExperimentConfig) -> List[RunReport]:
         task = tasks.gate_dataset(name)
         targets = [[float(t)] for _, t in task.pairs]
         for net in config.nets:
-            readout = None
-            if net == "rvnn":
-                pairs = tasks.gate_encode_rvnn(task)
-            elif net == "cvnn":
-                pairs, readout = tasks.gate_encode_cvnn(task)
-            else:
-                pairs, readout = tasks.gate_encode_qnn(task)
+            pairs, readout = getattr(tasks, f"gate_encode_{net}")(task)
             data = TrialData(
                 f"gates:{name}", pairs, targets, readout=readout, variant=gate_idx
             )
@@ -369,7 +363,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
         train, test = tasks.split_stratified(records, n_train, seed)
         split = train + test
         onehot = [tasks.iris_encode_onehot(r, bounds)[1] for r in split]
-        species = np.array([tasks.species_index(r) for r in split])
+        species = np.array([s for _, s in split])
         for net in config.nets:
             if net == "qnn":
                 pairs = [tasks.iris_encode_qnn(r) for r in split]
@@ -399,8 +393,8 @@ def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
     for seed in config.seeds:
         train = tasks.witness_dataset(n_train, seed)
         test = tasks.witness_testset(WITNESS_TEST_SIZE, seed)
-        train_targets = [[p.target] for p in train]
-        test_targets = [[p.target] for p in test]
+        train_targets = [[t] for _, t in train]
+        test_targets = [[t] for _, t in test]
         for net in config.nets:
             encode = getattr(tasks, f"witness_encode_{net}")
             pairs = [encode(p) for p in train]

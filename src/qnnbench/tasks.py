@@ -1,5 +1,11 @@
 """Benchmark task definitions: gate tables, Iris ingestion, witness datasets.
 
+A gate task is a `GateTask`, and every gate encoder returns `(pairs,
+readout)`, with None for the rvnn's readout. An iris record is `(features,
+species)`: four floats in `FEATURE_NAMES` order and the species' index in
+`SPECIES_ORDER`. A witness pair is `(state, target)`: a `PureState` and its
+entanglement of formation, which is already the qnn's training pair.
+
 Each task knows how to present itself to the three network families. Gates
 feed raw bits to the real net, circle-mapped bits to the complex net, and
 computational basis states to the quantum net. The quantum gate encodings also
@@ -13,7 +19,7 @@ and the classical witness encodings read its real parts whole.
 
 import importlib.resources
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -71,10 +77,11 @@ def gate_dataset(name: str) -> GateTask:
 
 
 def gate_encode_rvnn(task: GateTask):
-    return [
+    pairs = [
         (np.array(bits, dtype=float), np.array([float(t)]))
         for bits, t in task.pairs
     ]
+    return pairs, None
 
 
 def gate_encode_cvnn(task: GateTask):
@@ -103,34 +110,20 @@ def gate_encode_qnn(task: GateTask):
 # Iris
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IrisRecord:
-    sepal_length: float
-    sepal_width: float
-    petal_length: float
-    petal_width: float
-    species: str
-
-    def features(self) -> np.ndarray:
-        return np.array(
-            [self.sepal_length, self.sepal_width, self.petal_length, self.petal_width]
-        )
-
-
 def bundled_iris_path():
     return importlib.resources.files("qnnbench").joinpath("data/iris.csv")
 
 
-def _parse_species(raw: str, line_no: int) -> str:
+def _parse_species(raw: str, line_no: int) -> int:
     name = raw.strip().lower()
     if name.startswith("iris-"):
         name = name[len("iris-"):]
     if name not in SPECIES_ORDER:
         raise DatasetFormatError(f"unknown species {raw.strip()!r}", line_no)
-    return name
+    return SPECIES_ORDER.index(name)
 
 
-def load_iris(path=None) -> List[IrisRecord]:
+def load_iris(path=None):
     """Parse the Iris CSV (header optional) and check the canonical totals."""
     source = bundled_iris_path() if path is None else path
     try:
@@ -157,12 +150,11 @@ def load_iris(path=None) -> List[IrisRecord]:
             raise DatasetFormatError(f"non-numeric feature in {line!r}", line_no)
         if any(not np.isfinite(v) or v <= 0 for v in values):
             raise DatasetFormatError("features must be positive", line_no)
-        species = _parse_species(fields[4], line_no)
-        records.append(IrisRecord(*values, species))
+        records.append((tuple(values), _parse_species(fields[4], line_no)))
     if len(records) != 150:
         raise DatasetIntegrityError(f"expected 150 records, found {len(records)}")
-    for species in SPECIES_ORDER:
-        count = sum(1 for r in records if r.species == species)
+    for index, species in enumerate(SPECIES_ORDER):
+        count = sum(1 for _, s in records if s == index)
         if count != 50:
             raise DatasetIntegrityError(f"expected 50 {species}, found {count}")
     return records
@@ -187,8 +179,8 @@ def split_stratified(records, n_train: int, seed: int):
     per_species = n_train // 3
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     train, test = [], []
-    for species in SPECIES_ORDER:
-        group = [r for r in records if r.species == species]
+    for index in range(len(SPECIES_ORDER)):
+        group = [r for r in records if r[1] == index]
         order = rng.permutation(len(group))
         chosen = [group[i] for i in order]
         train.extend(chosen[:per_species])
@@ -200,7 +192,7 @@ def feature_bounds(records):
     """Per-feature (min, max) over the full dataset; frozen before splitting
     so the scaling cannot drift when the training size changes. A feature
     that takes one value throughout has no scale and is rejected."""
-    table = np.array([r.features() for r in records])
+    table = np.array([features for features, _ in records])
     mins, maxs = table.min(axis=0), table.max(axis=0)
     for name, low, high in zip(FEATURE_NAMES, mins, maxs):
         if low == high:
@@ -208,15 +200,16 @@ def feature_bounds(records):
     return mins, maxs
 
 
-def iris_encode_onehot(record: IrisRecord, bounds):
+def iris_encode_onehot(record, bounds):
+    features, species = record
     mins, maxs = bounds
-    scaled = (record.features() - mins) / (maxs - mins)
+    scaled = (np.array(features) - mins) / (maxs - mins)
     target = np.zeros(3)
-    target[SPECIES_ORDER.index(record.species)] = 1.0
+    target[species] = 1.0
     return scaled, target
 
 
-def iris_encode_cvnn(record: IrisRecord, bounds):
+def iris_encode_cvnn(record, bounds):
     scaled, target = iris_encode_onehot(record, bounds)
     x = np.array([cvnn.map_scalar(v) for v in scaled])
     spec = [cvnn.map_scalar(v) for v in target]
@@ -226,33 +219,19 @@ def iris_encode_cvnn(record: IrisRecord, bounds):
 QNN_TARGET_WEIGHTS = (0.01, 0.01, 1.0, 1.8)
 
 
-def iris_encode_qnn(record: IrisRecord):
+def iris_encode_qnn(record):
     """Features become the amplitudes of a pure state; the target is a
     fixed quadratic score of the normalized amplitudes that happens to order
     the species setosa < versicolor < virginica."""
-    state = PureState.from_amplitudes(record.features())
+    state = PureState.from_amplitudes(record[0])
     amps2 = np.array([state.a, state.b, state.c, state.d]) ** 2
     target = float(np.dot(QNN_TARGET_WEIGHTS, amps2))
     return state, target
 
 
-def species_index(record: IrisRecord) -> int:
-    return SPECIES_ORDER.index(record.species)
-
-
 # ---------------------------------------------------------------------------
 # Entanglement witness
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WitnessPair:
-    state: PureState
-    target: float
-
-    def __post_init__(self):
-        if abs(self.target - eof_pure(self.state)) > 1e-12:
-            raise ValidationError("witness target disagrees with the state")
-
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -271,7 +250,7 @@ def sample_pure_state(rng) -> PureState:
     return PureState.from_amplitudes(np.abs(rng.standard_normal(4)))
 
 
-def witness_dataset(n: int, seed: int) -> List[WitnessPair]:
+def witness_dataset(n: int, seed: int):
     """The canonical quartet (unentangled, Bell, product superposition,
     partially entangled), padded with seeded samples beyond 4."""
     if n < 1:
@@ -280,23 +259,24 @@ def witness_dataset(n: int, seed: int) -> List[WitnessPair]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     while len(states) < n:
         states.append(sample_pure_state(rng))
-    return [WitnessPair(s, eof_pure(s)) for s in states]
+    return [(s, eof_pure(s)) for s in states]
 
 
-def witness_testset(n: int, seed: int) -> List[WitnessPair]:
+def witness_testset(n: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     states = [sample_pure_state(rng) for _ in range(n)]
-    return [WitnessPair(s, eof_pure(s)) for s in states]
+    return [(s, eof_pure(s)) for s in states]
 
 
-def witness_encode_rvnn(pair: WitnessPair):
+def witness_encode_rvnn(pair):
     """The 16 density-matrix entries, flattened; real parts only, which loses
     nothing because a state's amplitudes are real."""
-    entries = pure_to_density(pair.state).real.reshape(-1)
-    return entries, np.array([pair.target])
+    state, target = pair
+    entries = pure_to_density(state).real.reshape(-1)
+    return entries, np.array([target])
 
 
-def witness_encode_cvnn(pair: WitnessPair):
+def witness_encode_cvnn(pair):
     """Pure-state density entries are products of two amplitudes in
     [0, 1], so each entry rides the unit circle through the scalar mapping;
     a raw complex encoding would put sparse states' zero entries at the
@@ -307,5 +287,6 @@ def witness_encode_cvnn(pair: WitnessPair):
     return x, spec
 
 
-def witness_encode_qnn(pair: WitnessPair):
-    return pair.state, pair.target
+def witness_encode_qnn(pair):
+    """The pair is already the qnn's (state, target)."""
+    return pair

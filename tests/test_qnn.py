@@ -117,7 +117,7 @@ def random_rhos(rng, n):
 
 def witness_pairs_with_target(target):
     """Four witness pairs, the third with its target replaced."""
-    pairs = [(p.state, p.target) for p in tasks.witness_dataset(4, 0)]
+    pairs = tasks.witness_dataset(4, 0)
     pairs[2] = (pairs[2][0], target)
     return pairs
 
@@ -160,7 +160,7 @@ class TestForward:
     def test_rho_stack_is_the_validated_outer_product_bit_for_bit(self):
         rng = np.random.default_rng(19)
         basis = [PureState(*row) for row in np.eye(4)]
-        quartet = [p.state for p in tasks.witness_dataset(4, 0)]
+        quartet = [s for s, _ in tasks.witness_dataset(4, 0)]
         sampled = [tasks.sample_pure_state(rng) for _ in range(200)]
         for states in (basis, quartet, sampled):
             rhos = qnn.states_to_rhos(states)
@@ -358,9 +358,9 @@ class TestTrain:
         assert result.converged
         test_pairs = tasks.witness_testset(25, seed=0)
         outs = qnn.batch_outputs(
-            qnn.states_to_rhos([p.state for p in test_pairs]), result.schedule
+            qnn.states_to_rhos([s for s, _ in test_pairs]), result.schedule
         )
-        targets = [p.target for p in test_pairs]
+        targets = [t for _, t in test_pairs]
         rms = float(np.sqrt(np.mean((outs - np.array(targets)) ** 2)))
         assert rms <= 0.05
 

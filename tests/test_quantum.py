@@ -329,7 +329,7 @@ def test_eof_pure_is_the_squared_wootters_concurrence():
     # target; this reads the density matrix, not the amplitudes.
     yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
     rng = np.random.default_rng(43)
-    states = [p.state for p in tasks.witness_dataset(4, seed=0)]
+    states = [s for s, _ in tasks.witness_dataset(4, seed=0)]
     states += [tasks.sample_pure_state(rng) for _ in range(100)]
     for s in states:
         rho = pure_to_density(s)

@@ -1,8 +1,6 @@
 """Tests for task definitions: gate tables and encodings, Iris loading and
 splitting, and the entanglement-witness datasets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -42,7 +40,8 @@ class TestGates:
             tasks.gate_dataset("IMPLIES")
 
     def test_rvnn_encoding_is_plain_bits(self):
-        pairs = tasks.gate_encode_rvnn(tasks.gate_dataset("OR"))
+        pairs, readout = tasks.gate_encode_rvnn(tasks.gate_dataset("OR"))
+        assert readout is None
         assert len(pairs) == 4
         for (x, t), ((p, q), bit) in zip(pairs, tasks.gate_dataset("OR").pairs):
             assert np.array_equal(x, [p, q])
@@ -103,8 +102,14 @@ class TestIrisLoading:
     def test_bundled_dataset_has_canonical_totals(self):
         records = tasks.load_iris()
         assert len(records) == 150
-        for species in tasks.SPECIES_ORDER:
-            assert sum(1 for r in records if r.species == species) == 50
+        for record in records:
+            assert type(record) is tuple and len(record) == 2
+            features, species = record
+            assert type(features) is tuple and len(features) == 4
+            assert all(type(v) is float for v in features)
+            assert type(species) is int and species in range(3)
+        for index in range(len(tasks.SPECIES_ORDER)):
+            assert sum(1 for _, s in records if s == index) == 50
 
     def test_header_is_optional(self, tmp_path):
         with open(tasks.bundled_iris_path(), encoding="utf-8") as handle:
@@ -192,9 +197,9 @@ class TestIrisSplit:
         train, test = tasks.split_stratified(records, n_train, seed=0)
         assert len(train) == n_train
         assert len(test) == 75
-        for species in tasks.SPECIES_ORDER:
-            assert sum(1 for r in train if r.species == species) == per_species
-            assert sum(1 for r in test if r.species == species) == 25
+        for index in range(len(tasks.SPECIES_ORDER)):
+            assert sum(1 for _, s in train if s == index) == per_species
+            assert sum(1 for _, s in test if s == index) == 25
 
     def test_split_is_disjoint_and_deterministic(self, records):
         train1, test1 = tasks.split_stratified(records, 75, seed=3)
@@ -217,7 +222,7 @@ class TestIrisSplit:
 class TestIrisEncoding:
     def test_a_feature_with_one_value_has_no_bounds(self, records):
         # Scaling would divide by max - min = 0.
-        flat = [dataclasses.replace(r, sepal_length=5.0) for r in records]
+        flat = [((5.0,) + features[1:], s) for features, s in records]
         with pytest.raises(DatasetIntegrityError, match="sepal_length is 5 on every record"):
             tasks.feature_bounds(flat)
 
@@ -227,7 +232,7 @@ class TestIrisEncoding:
             x, t = tasks.iris_encode_onehot(record, bounds)
             assert np.all(x >= 0) and np.all(x <= 1)
             assert sorted(t) == [0.0, 0.0, 1.0]
-            assert t[tasks.species_index(record)] == 1.0
+            assert t[record[1]] == 1.0
 
     def test_cvnn_encoding_rides_the_unit_circle(self, records):
         bounds = tasks.feature_bounds(records)
@@ -237,7 +242,7 @@ class TestIrisEncoding:
         assert spec == [cvnn.map_scalar(v) for v in onehot]
 
     def test_qnn_target_is_the_fixed_quadratic_score(self):
-        record = tasks.IrisRecord(3.0, 3.0, 4.0, 1e-9, "setosa")
+        record = ((3.0, 3.0, 4.0, 1e-9), 0)
         state, target = tasks.iris_encode_qnn(record)
         # amplitudes^2 = (9, 9, 16, ~0)/34, so the weighted score is
         # (0.01*9 + 0.01*9 + 1.0*16)/34 = 16.18/34.
@@ -245,10 +250,10 @@ class TestIrisEncoding:
 
     def test_qnn_targets_order_the_species(self, records):
         by_species = {
-            s: np.mean(
-                [tasks.iris_encode_qnn(r)[1] for r in records if r.species == s]
+            name: np.mean(
+                [tasks.iris_encode_qnn(r)[1] for r in records if r[1] == index]
             )
-            for s in tasks.SPECIES_ORDER
+            for index, name in enumerate(tasks.SPECIES_ORDER)
         }
         assert by_species["setosa"] < by_species["versicolor"] < by_species["virginica"]
 
@@ -260,7 +265,7 @@ class TestIrisEncoding:
 class TestWitness:
     def test_canonical_quartet_values(self):
         quartet = tasks.witness_dataset(4, seed=0)
-        targets = [p.target for p in quartet]
+        targets = [t for _, t in quartet]
         assert targets[0] == pytest.approx(0.0, abs=1e-12)
         assert targets[1] == pytest.approx(1.0, abs=1e-12)
         assert targets[2] == pytest.approx(0.0, abs=1e-12)
@@ -269,17 +274,17 @@ class TestWitness:
     def test_prefix_of_the_quartet_comes_back_for_small_n(self):
         duo = tasks.witness_dataset(2, seed=9)
         quartet = tasks.witness_dataset(4, seed=0)
-        assert [p.state for p in duo] == [p.state for p in quartet[:2]]
+        assert [s for s, _ in duo] == [s for s, _ in quartet[:2]]
 
     def test_larger_sets_pad_with_zero_phase_samples(self):
         pairs = tasks.witness_dataset(10, seed=0)
         assert len(pairs) == 10
-        for p in pairs[4:]:
-            assert p.target == pytest.approx(eof_pure(p.state), abs=1e-12)
+        for state, target in pairs[4:]:
+            assert target == pytest.approx(eof_pure(state), abs=1e-12)
         again = tasks.witness_dataset(10, seed=0)
-        assert [p.state for p in again] == [p.state for p in pairs]
+        assert [s for s, _ in again] == [s for s, _ in pairs]
         other = tasks.witness_dataset(10, seed=1)
-        assert [p.state for p in other] != [p.state for p in pairs]
+        assert [s for s, _ in other] != [s for s, _ in pairs]
 
     def test_testset_is_seeded_and_zero_phase(self):
         pairs = tasks.witness_testset(25, seed=0)
@@ -287,9 +292,21 @@ class TestWitness:
         assert tasks.witness_testset(25, seed=0) == pairs
         assert tasks.witness_testset(25, seed=1) != pairs
 
-    def test_witness_pair_rechecks_its_target(self):
-        with pytest.raises(ValidationError):
-            tasks.WitnessPair(PureState(1.0, 0.0, 0.0, 0.0), 0.5)
+    def test_every_pair_is_a_state_and_its_exact_target(self):
+        # The target is eof_pure of the state, bit for bit, and the pair is
+        # already what the qnn trains on.
+        for seed in range(10):
+            pairs = (
+                tasks.witness_dataset(4, seed)
+                + tasks.witness_dataset(100, seed)
+                + tasks.witness_testset(runner.WITNESS_TEST_SIZE, seed)
+            )
+            for pair in pairs:
+                assert type(pair) is tuple and len(pair) == 2
+                state, target = pair
+                assert isinstance(state, PureState) and isinstance(target, float)
+                assert target == eof_pure(state)
+                assert tasks.witness_encode_qnn(pair) is pair
 
     def test_sampled_states_are_normalized(self):
         rng = np.random.default_rng(0)
@@ -308,26 +325,26 @@ class TestWitness:
                 + tasks.witness_testset(runner.WITNESS_TEST_SIZE, seed)
             )
             for pair in pairs:
-                s = pair.state
+                s, target = pair
                 assert np.all(pure_to_density(s).imag == 0.0)
                 x, t = tasks.witness_encode_rvnn(pair)
                 assert x.shape == (16,)
                 amps = np.array([s.a, s.b, s.c, s.d])
                 assert x.tobytes() == np.outer(amps, amps).ravel().tobytes()
-                assert np.array_equal(t, [pair.target])
+                assert np.array_equal(t, [target])
 
     def test_cvnn_encoding_rides_the_unit_circle(self):
         pair = tasks.witness_dataset(4, seed=0)[3]
         x, spec = tasks.witness_encode_cvnn(pair)
         assert x.shape == (16,)
         assert np.allclose(np.abs(x), 1.0)
-        assert spec == [cvnn.map_scalar(pair.target)]
+        assert spec == [cvnn.map_scalar(pair[1])]
 
     def test_qnn_encoding_is_the_bare_state_and_value(self):
         pair = tasks.witness_dataset(4, seed=0)[3]
         state, target = tasks.witness_encode_qnn(pair)
-        assert state is pair.state
-        assert target == pair.target
+        assert state is pair[0]
+        assert target == pair[1]
 
     def test_dataset_rejects_nonpositive_sizes(self):
         with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ XOR = tasks.gate_dataset("XOR")
 
 def train_rvnn(rms_target, max_epochs):
     net = rvnn.random_stack((2, 2, 1), np.random.default_rng(0))
-    pairs = tasks.gate_encode_rvnn(XOR)
+    pairs, _ = tasks.gate_encode_rvnn(XOR)
     return rvnn.train_to_threshold(net, pairs, 2.0, rms_target, max_epochs)
 
 
@@ -202,7 +202,7 @@ def rvnn_xor_trial(max_epochs):
     params = runner.DEFAULTS["gates"]["rvnn"]
     rng = runner_stream("rvnn", 0, tasks.GATE_NAMES.index("XOR"))
     net = rvnn.random_stack((2, 1), rng)
-    pairs = tasks.gate_encode_rvnn(XOR)
+    pairs, _ = tasks.gate_encode_rvnn(XOR)
     result = rvnn.train_to_threshold(
         net, pairs, params["learning_rate"], params["rms_target"], max_epochs
     )
@@ -282,7 +282,7 @@ def test_all_degenerate_cvnn_counts_every_skip_of_the_budget():
 def test_a_frozen_net_runs_one_epoch_of_a_million(monkeypatch):
     calls = counted(monkeypatch, rvnn, "sigmoid")
     net = rvnn.random_stack((2, 1), np.random.default_rng(0))
-    pairs = tasks.gate_encode_rvnn(XOR)
+    pairs, _ = tasks.gate_encode_rvnn(XOR)
     result = rvnn.train_to_threshold(net, pairs, 0.0, 0.01, 1_000_000)
     assert calls[0] <= 2 * len(pairs)
     assert (result.epochs_used, result.converged) == (1_000_000, False)
@@ -339,7 +339,8 @@ def gate_batch(gates, seeds):
     pair_sets, keys = [], []
     for gate in gates:
         for seed in seeds:
-            pair_sets.append(tasks.gate_encode_rvnn(tasks.gate_dataset(gate)))
+            pairs, _ = tasks.gate_encode_rvnn(tasks.gate_dataset(gate))
+            pair_sets.append(pairs)
             keys.append((seed, tasks.GATE_NAMES.index(gate)))
 
     def make_nets():
@@ -420,7 +421,7 @@ def gate_nets(*sizes):
     return [rvnn.random_stack(s, rng) for s in sizes]
 
 
-AND_PAIRS = tasks.gate_encode_rvnn(tasks.gate_dataset("AND"))
+AND_PAIRS, _ = tasks.gate_encode_rvnn(tasks.gate_dataset("AND"))
 
 
 @pytest.mark.parametrize(
