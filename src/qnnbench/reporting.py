@@ -45,16 +45,16 @@ def rms_percent(outputs, targets) -> float:
     return 100.0 * float(np.sqrt(np.mean((out - tgt) ** 2)))
 
 
-def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
+def accuracy_percent(outs, labels, train_outs, train_classes) -> float:
     """Percentage of test records whose decision matches their label (a
-    class index). test_outs holds one row per record, and the width of the
-    rows picks the decision. With one output per class, a record is correct
+    class index). outs holds one row per record, and the width of the rows
+    picks the decision. With one output per class, a record is correct
     when its output at the labeled class exceeds 0.5, whatever the other
     outputs are. A single output picks the training class whose mean
     training output is nearest; for sorted means that is a threshold rule
     with cuts at the midpoints between adjacent means."""
-    outs = np.asarray(test_outs, dtype=float)
-    labels = np.asarray(test_labels, dtype=int)
+    outs = np.asarray(outs, dtype=float)
+    labels = np.asarray(labels, dtype=int)
     if len(outs) != len(labels):
         raise ValidationError("outputs and labels must pair up")
     if not len(outs):
@@ -63,13 +63,13 @@ def accuracy_percent(test_outs, test_labels, train_outs, train_labels) -> float:
         raise ValidationError("outputs must be one row per record")
     if outs.shape[1] == 1:
         train_outs = np.asarray(train_outs, dtype=float)
-        train_labels = np.asarray(train_labels, dtype=int)
+        train_classes = np.asarray(train_classes, dtype=int)
         # Not np.unique: its first call imports numpy.ma, about 1.3 MB of
         # peak RSS in an iris run.
-        classes = np.array(sorted(set(train_labels.tolist())))
+        classes = np.array(sorted(set(train_classes.tolist())))
         if classes.size < 2:
             raise ValidationError("need at least two training classes")
-        means = np.array([np.mean(train_outs[train_labels == k]) for k in classes])
+        means = np.array([np.mean(train_outs[train_classes == k]) for k in classes])
         correct = classes[np.argmin(np.abs(means - outs), axis=1)] == labels
     else:
         if labels.min() < 0 or labels.max() >= outs.shape[1]:

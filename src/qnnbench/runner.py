@@ -3,14 +3,15 @@
 Every experiment runs through one trial pipeline. The task drivers
 (run_gates, run_iris, run_entanglement) only build a table's trials, each a
 net, a seed and its TrialData. TrialData is plain data, class labels
-included, so any trial can be pickled; which accuracy rule a net gets
-follows from the width of its outputs, in reporting.accuracy_percent.
-_run_group builds, trains, predicts and scores a group of trials by one
-call of its net's step. A table's rvnn trials are one group, trained by
-rvnn.train_lockstep in one spawned worker that sends back their
-RunReports; meanwhile this process runs each cvnn and qnn trial as a group
-of one. The cvnn and qnn entry points are looked up on their modules at
-every call, so a replacement installed there is what runs. The benchmark
+included, so any trial can be pickled. Its rows come training rows first.
+_run_group trains a group of trials by one call of its net's step, which
+predicts every row of a trial once; _report splits those outputs after the
+training rows to score them, and the width of the outputs picks the
+accuracy rule, in reporting.accuracy_percent. A table's rvnn trials are one
+group, trained by rvnn.train_lockstep in one spawned worker that sends back
+their RunReports; meanwhile this process runs each cvnn and qnn trial as a
+group of one. The cvnn and qnn entry points are looked up on their modules
+at every call, so a replacement installed there is what runs. The benchmark
 relies on this: bench/workload.py (observe_training, install_spans) wraps
 cvnn.train_to_threshold and qnn.train on their modules. So do the tests
 TestTrialPipeline::test_entry_points_are_looked_up_at_call_time and the
@@ -157,21 +158,20 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialData:
-    """What a task hands to one trial: training pairs in the net's encoding,
-    real target rows for the training and held-out inputs, the readout (None
-    for the net's default) and, for an accuracy, the class indices of the
-    test and training records. variant splits the init stream between the
-    tasks of one experiment. Every field is plain data, so a trial pickles
-    whatever its net."""
+    """What a task hands to one trial. Its rows come training rows first:
+    train holds the training pairs in the net's encoding, and inputs,
+    targets (real rows) and, for an accuracy, labels (class indices) cover
+    every row, so the held-out rows are the ones after len(train). readout
+    is None for the net's default; variant splits the init stream between
+    the tasks of one experiment. Every field is plain data, so a trial
+    pickles whatever its net."""
 
     label: str
     train: Sequence
-    train_targets: Sequence
-    test_inputs: Optional[Sequence] = None
-    test_targets: Optional[Sequence] = None
+    inputs: Sequence
+    targets: Sequence
+    labels: Optional[Sequence] = None
     readout: object = None
-    test_labels: Optional[Sequence] = None
-    train_labels: Optional[Sequence] = None
     variant: int = 0
 
 
@@ -187,8 +187,9 @@ def _init_stream(net, seed, data):
 
 
 # Per-net steps: each builds and trains the nets of a list of (data, rng, seed)
-# trials and returns, per trial, its train result and a predict function to
-# (n, outputs) real arrays. Only the rvnn step takes more than one trial.
+# trials and returns, per trial, its train result and its outputs on every row
+# of data.inputs, a (rows, outputs) real array. Only the rvnn step takes more
+# than one trial.
 def _rvnn_step(params, trials):
     nets = [
         rvnn.random_stack(_layer_sizes(params, data.train), rng)
@@ -199,8 +200,8 @@ def _rvnn_step(params, trials):
         nets, pair_sets, params["learning_rate"], params["rms_target"], params["max_epochs"]
     )
     return [
-        (result, lambda xs, net=result.net: np.array([rvnn.forward(net, x) for x in xs]))
-        for result in results
+        (result, np.array([rvnn.forward(result.net, x) for x in data.inputs]))
+        for (data, _, _), result in zip(trials, results)
     ]
 
 
@@ -211,8 +212,8 @@ def _cvnn_step(params, trials):
     result = cvnn.train_to_threshold(
         stack, data.train, params["rms_target"], params["max_epochs"], readout=readout
     )
-    return [(result, lambda xs: np.array(
-        [[readout(z) for z in cvnn.forward(result.net, x)] for x in xs]
+    return [(result, np.array(
+        [[readout(z) for z in cvnn.forward(result.net, x)] for x in data.inputs]
     ))]
 
 
@@ -228,27 +229,24 @@ def _qnn_step(params, trials):
         backtracking=params["backtracking"],
     )
     result = qnn.train(data.train, config, schedule, readout=readout)
-    return [(result, lambda states: qnn.batch_outputs(
-        qnn.states_to_rhos(states), result.schedule, readout
-    )[:, None])]
+    rhos = qnn.states_to_rhos(data.inputs)
+    return [(result, qnn.batch_outputs(rhos, result.schedule, readout)[:, None])]
 
 
 _NET_STEPS = {"rvnn": _rvnn_step, "cvnn": _cvnn_step, "qnn": _qnn_step}
 
 
-def _report(trial, result, predict):
-    """Predict and score one trained trial."""
+def _report(trial, result, outs):
+    """Score one trained trial from its outputs on every row: those before
+    len(data.train) are the training rows, the rest are held out."""
     net, seed, data = trial
-    train_outs = predict([x for x, _ in data.train])
-    train_rms = rms_percent(train_outs, data.train_targets)
+    n = len(data.train)
+    train_rms = rms_percent(outs[:n], data.targets[:n])
     test_rms = accuracy = None
-    if data.test_inputs is not None:
-        test_outs = predict(data.test_inputs)
-        test_rms = rms_percent(test_outs, data.test_targets)
-        if data.test_labels is not None:
-            accuracy = accuracy_percent(
-                test_outs, data.test_labels, train_outs, data.train_labels
-            )
+    if len(outs) > n:
+        test_rms = rms_percent(outs[n:], data.targets[n:])
+        if data.labels is not None:
+            accuracy = accuracy_percent(outs[n:], data.labels[n:], outs[:n], data.labels[:n])
     return RunReport(
         experiment=data.label,
         net=net,
@@ -267,10 +265,7 @@ def _run_group(config, group):
     net = group[0][0]
     members = [(data, _init_stream(net, seed, data), seed) for net, seed, data in group]
     trained = _NET_STEPS[net](config.resolved(net), members)
-    return [
-        _report(trial, result, predict)
-        for trial, (result, predict) in zip(group, trained)
-    ]
+    return [_report(trial, *outcome) for trial, outcome in zip(group, trained)]
 
 
 def _group_worker(sender, config, group):
@@ -343,7 +338,8 @@ def run_gates(config: ExperimentConfig) -> List[RunReport]:
         for net in config.nets:
             pairs, readout = getattr(tasks, f"gate_encode_{net}")(task)
             data = TrialData(
-                f"gates:{name}", pairs, targets, readout=readout, variant=gate_idx
+                f"gates:{name}", pairs, [x for x, _ in pairs], targets,
+                readout=readout, variant=gate_idx,
             )
             for seed in config.seeds:
                 trials.append((net, seed, data))
@@ -372,15 +368,7 @@ def run_iris(config: ExperimentConfig) -> List[RunReport]:
                 encode = tasks.iris_encode_cvnn if net == "cvnn" else tasks.iris_encode_onehot
                 pairs = [encode(r, bounds) for r in split]
                 targets = onehot
-            data = TrialData(
-                label,
-                pairs[:n_train],
-                targets[:n_train],
-                [x for x, _ in pairs[n_train:]],
-                targets[n_train:],
-                test_labels=species[n_train:],
-                train_labels=species[:n_train],
-            )
+            data = TrialData(label, pairs[:n_train], [x for x, _ in pairs], targets, species)
             trials.append((net, seed, data))
     return run_trials(config, trials)
 
@@ -391,15 +379,14 @@ def run_entanglement(config: ExperimentConfig) -> List[RunReport]:
     label = f"entanglement:{n_train}"
     trials = []
     for seed in config.seeds:
-        train = tasks.witness_dataset(n_train, seed)
-        test = tasks.witness_testset(WITNESS_TEST_SIZE, seed)
-        train_targets = [[t] for _, t in train]
-        test_targets = [[t] for _, t in test]
+        rows = tasks.witness_dataset(n_train, seed) + tasks.witness_testset(
+            WITNESS_TEST_SIZE, seed
+        )
+        targets = [[t] for _, t in rows]
         for net in config.nets:
             encode = getattr(tasks, f"witness_encode_{net}")
-            pairs = [encode(p) for p in train]
-            test_inputs = [encode(p)[0] for p in test]
-            data = TrialData(label, pairs, train_targets, test_inputs, test_targets)
+            pairs = [encode(p) for p in rows]
+            data = TrialData(label, pairs[:n_train], [x for x, _ in pairs], targets)
             trials.append((net, seed, data))
     return run_trials(config, trials)
 

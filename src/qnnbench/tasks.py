@@ -18,6 +18,7 @@ and the classical witness encodings read its real parts whole.
 """
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -233,13 +234,13 @@ def iris_encode_qnn(record):
 # Entanglement witness
 # ---------------------------------------------------------------------------
 
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _CANONICAL_WITNESS_STATES = (
     PureState(1.0, 0.0, 0.0, 0.0),
     PureState(INV_SQRT2, 0.0, 0.0, INV_SQRT2),
     PureState(0.5, 0.5, 0.5, 0.5),
-    PureState(np.sqrt(0.8), 0.0, 0.0, np.sqrt(0.2)),
+    PureState(math.sqrt(0.8), 0.0, 0.0, math.sqrt(0.2)),
 )
 
 

@@ -371,6 +371,31 @@ class TestTrialPipeline:
         assert {net for net, _, _ in built} == {"rvnn", "cvnn", "qnn"}
         for trial in built:
             pickle.dumps(trial)
+            # Every row has its input, target and, where set, label, and the
+            # training rows come first, as the training pairs' own inputs.
+            _, _, data = trial
+            rows = {"gates": 4, "iris": 150, "entanglement": 29}[experiment]
+            assert len(data.inputs) == len(data.targets) == rows
+            if data.labels is not None:
+                assert len(data.labels) == rows
+            assert len(data.train) <= rows
+            for (x, _), row in zip(data.train, data.inputs[: len(data.train)]):
+                assert x is row
+
+    @pytest.mark.parametrize(
+        "experiment, train_size", [("gates", None), ("iris", 12), ("entanglement", None)]
+    )
+    def test_each_qnn_trial_predicts_once(self, monkeypatch, experiment, train_size):
+        # One batch_outputs call scores a trial's training and held-out rows
+        # alike; training itself never calls it.
+        calls = []
+        _counting(monkeypatch, qnn, "batch_outputs", calls, "qnn")
+        config = ExperimentConfig(
+            experiment=experiment, nets=("qnn",), seeds=(0, 1),
+            train_size=train_size, net_params={"qnn": {"max_epochs": 2}},
+        )
+        reports = run_experiment(config)
+        assert len(calls) == len(reports) == (12 if experiment == "gates" else 2)
 
     @pytest.mark.parametrize(
         "experiment, sizes",
@@ -434,7 +459,8 @@ def worker_guard():
 
 class TestRvnnWorker:
     def test_a_worker_error_reaches_the_caller_with_its_type(self, worker_guard):
-        data = TrialData("gates:AND", [([float("nan"), 0.0], [1.0])], [[1.0]])
+        pairs = [([float("nan"), 0.0], [1.0])]
+        data = TrialData("gates:AND", pairs, [x for x, _ in pairs], [[1.0]])
         config = ExperimentConfig(experiment="gates", nets=("rvnn",))
         with pytest.raises(ValidationError, match="net 0, pair 0: non-finite input or target") as err:
             run_trials(config, [("rvnn", 0, data)])

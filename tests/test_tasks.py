@@ -294,7 +294,8 @@ class TestWitness:
 
     def test_every_pair_is_a_state_and_its_exact_target(self):
         # The target is eof_pure of the state, bit for bit, and the pair is
-        # already what the qnn trains on.
+        # already what the qnn trains on. Amplitudes and targets are Python
+        # floats, the canonical quartet's too.
         for seed in range(10):
             pairs = (
                 tasks.witness_dataset(4, seed)
@@ -304,7 +305,8 @@ class TestWitness:
             for pair in pairs:
                 assert type(pair) is tuple and len(pair) == 2
                 state, target = pair
-                assert isinstance(state, PureState) and isinstance(target, float)
+                assert isinstance(state, PureState) and type(target) is float
+                assert all(type(v) is float for v in (state.a, state.b, state.c, state.d))
                 assert target == eof_pure(state)
                 assert tasks.witness_encode_qnn(pair) is pair
 
