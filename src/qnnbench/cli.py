@@ -11,7 +11,7 @@ import dataclasses
 import json
 import sys
 
-from .errors import DatasetFormatError, DatasetIntegrityError, ValidationError
+from .errors import ValidationError
 from .reporting import emit_report
 from .runner import DEFAULTS, NETS, ExperimentConfig, run_experiment
 
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
         config = config_from_args(args)
         reports = run_experiment(config)
         text = emit_report(reports, config.output_format, args.out)
-    except (ValidationError, DatasetFormatError, DatasetIntegrityError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

@@ -8,16 +8,3 @@ class ValidationError(ValueError):
 class DegenerateActivationError(ArithmeticError):
     """Raised when a unit-circle activation receives an exactly zero sum."""
 
-
-class DatasetFormatError(ValueError):
-    """Raised for a malformed dataset row; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class DatasetIntegrityError(ValueError):
-    """Raised when a parsed dataset fails a whole-file consistency check."""

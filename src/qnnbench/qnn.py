@@ -49,7 +49,7 @@ from .quantum import (
     schedule_propagator,
     states_to_rhos,
 )
-from .training import check_positive, check_stop_rule, is_count, run_epochs
+from .training import RMS_TARGET, check_positive, check_stop_rule, is_count, run_epochs
 
 MAX_FD_STEP = 1e-2
 DEFAULT_FD_STEP = 1e-3
@@ -71,7 +71,7 @@ class QnnConfig:
 
     learning_rate: float
     max_epochs: int
-    rms_target: float = 0.01
+    rms_target: float = RMS_TARGET
     seed: int = 0
     backtracking: bool = False
 

@@ -25,7 +25,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import cvnn, qnn
-from .errors import DatasetFormatError, DatasetIntegrityError, ValidationError
+from .errors import ValidationError
 from .quantum import PureState, eof_pure, pure_to_density
 
 BIT_ROWS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -120,7 +120,7 @@ def _parse_species(raw: str, line_no: int) -> int:
     if name.startswith("iris-"):
         name = name[len("iris-"):]
     if name not in SPECIES_ORDER:
-        raise DatasetFormatError(f"unknown species {raw.strip()!r}", line_no)
+        raise ValidationError(f"line {line_no}: unknown species {raw.strip()!r}")
     return SPECIES_ORDER.index(name)
 
 
@@ -131,7 +131,7 @@ def load_iris(path=None):
         with open(source, encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"not UTF-8 text: {exc}")
+        raise ValidationError(f"not UTF-8 text: {exc}")
     records = []
     seen_content = False
     for line_no, raw in enumerate(lines, start=1):
@@ -144,20 +144,20 @@ def load_iris(path=None):
             continue  # optional header row
         seen_content = True
         if len(fields) != 5:
-            raise DatasetFormatError(f"expected 5 fields, got {len(fields)}", line_no)
+            raise ValidationError(f"line {line_no}: expected 5 fields, got {len(fields)}")
         try:
             values = [float(f) for f in fields[:4]]
         except ValueError:
-            raise DatasetFormatError(f"non-numeric feature in {line!r}", line_no)
+            raise ValidationError(f"line {line_no}: non-numeric feature in {line!r}")
         if any(not np.isfinite(v) or v <= 0 for v in values):
-            raise DatasetFormatError("features must be positive", line_no)
+            raise ValidationError(f"line {line_no}: features must be positive")
         records.append((tuple(values), _parse_species(fields[4], line_no)))
     if len(records) != 150:
-        raise DatasetIntegrityError(f"expected 150 records, found {len(records)}")
+        raise ValidationError(f"expected 150 records, found {len(records)}")
     for index, species in enumerate(SPECIES_ORDER):
         count = sum(1 for _, s in records if s == index)
         if count != 50:
-            raise DatasetIntegrityError(f"expected 50 {species}, found {count}")
+            raise ValidationError(f"expected 50 {species}, found {count}")
     return records
 
 
@@ -197,7 +197,7 @@ def feature_bounds(records):
     mins, maxs = table.min(axis=0), table.max(axis=0)
     for name, low, high in zip(FEATURE_NAMES, mins, maxs):
         if low == high:
-            raise DatasetIntegrityError(f"feature {name} is {low:g} on every record")
+            raise ValidationError(f"feature {name} is {low:g} on every record")
     return mins, maxs
 
 

@@ -35,7 +35,7 @@ from qnnbench.runner import (
     run_gates,
     run_iris,
 )
-from sampling import random_rho
+from sampling import numeric_rvnn_gradients, random_rho
 
 LINEAR_GATES = ("AND", "NAND", "OR", "NOR")
 PARITY_GATES = ("XOR", "XNOR")
@@ -474,7 +474,7 @@ def test_gradient_checks():
         ]
         for x, t in pairs:
             analytic_w, analytic_b, _ = rvnn.pair_gradients(net, x, t)
-            numeric_w, numeric_b = _numeric_rvnn_gradients(net, x, t)
+            numeric_w, numeric_b = numeric_rvnn_gradients(net, x, t)
             for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
                 rel = np.abs(a - n) / np.maximum(np.abs(n), 1e-8)
                 worst_rel = max(worst_rel, float(np.max(rel)))
@@ -515,29 +515,6 @@ def test_gradient_checks():
         f"{', '.join(f'{r:.2f}' for r in ratios)} (want 4 +- 1); "
         f"loss {before:.4f} -> {after:.4f} after one step",
     )
-
-
-def _numeric_rvnn_gradients(net, x, t, h=1e-5):
-    """Central differences of one pair's loss 0.5*sum((out - t)^2)."""
-
-    def loss():
-        return 0.5 * float(np.sum((rvnn.forward(net, x) - t) ** 2))
-
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    for grads, params in ((grad_w, net.weights), (grad_b, net.biases)):
-        for grad, param in zip(grads, params):
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                saved = param[idx]
-                param[idx] = saved + h
-                up = loss()
-                param[idx] = saved - h
-                down = loss()
-                param[idx] = saved
-                grad[idx] = (up - down) / (2 * h)
-    return grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------

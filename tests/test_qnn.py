@@ -4,7 +4,7 @@ gradients, and full-batch training."""
 import numpy as np
 import pytest
 
-from qnnbench import qnn, runner, tasks
+from qnnbench import qnn, runner, tasks, training
 from qnnbench.errors import ValidationError
 from qnnbench.quantum import (
     HamiltonianSchedule,
@@ -83,7 +83,7 @@ def witness_trial(seed):
     config = qnn.QnnConfig(
         learning_rate=params["learning_rate"],
         max_epochs=params["max_epochs"],
-        rms_target=params["rms_target"],
+        rms_target=training.RMS_TARGET,
         seed=seed,
         backtracking=params["backtracking"],
     )
@@ -363,6 +363,31 @@ class TestTrain:
         targets = [t for _, t in test_pairs]
         rms = float(np.sqrt(np.mean((outs - np.array(targets)) ** 2)))
         assert rms <= 0.05
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_quartet_is_blind_where_one_more_state_sees(self, sign):
+        # At the exact family the four canonical states are, to first order,
+        # blind to every direction of the five parameters, so reaching the
+        # train target there fixes nothing; one sampled state more sees one.
+        t_f, h = 1.5, 1e-6
+        exact = np.array([np.pi / (4 * t_f), sign * np.pi / (4 * t_f), 0.0, 0.0, 0.0])
+
+        def singular_values(n_states):
+            rhos = qnn.states_to_rhos([s for s, _ in tasks.witness_dataset(n_states, 0)])
+
+            def outputs(params):
+                return qnn.batch_outputs(rhos, HamiltonianSchedule.from_array(params, t_f))
+
+            steps = h * np.eye(5)
+            jacobian = np.column_stack(
+                [(outputs(exact + e) - outputs(exact - e)) / (2 * h) for e in steps]
+            )
+            return np.linalg.svd(jacobian, compute_uv=False)
+
+        assert singular_values(4).max() <= 1e-7
+        largest, *rest = singular_values(5)
+        assert largest >= 0.05
+        assert max(rest) <= 1e-7
 
     def test_fixed_step_is_plain_gradient_descent(self):
         # Without backtracking every epoch takes params -= lr * gradient,

@@ -94,18 +94,21 @@ def _defs():
 
 
 def test_every_function_is_reached_by_a_run_or_named(tmp_path):
-    # Every net stops within 2 epochs. At an rvnn target of 50% RMS some gate
-    # trials converge in the first epoch while others run on, so a lockstep
-    # batch shrinks.
+    # Every net stops within 2 epochs, except the gates rvnn: within 1,000
+    # epochs its single-layer parity trials reach their cycles and stop
+    # while the other trials run on, so a lockstep batch shrinks.
     net_params = {net: {"max_epochs": 2} for net in ("rvnn", "cvnn", "qnn")}
-    net_params["rvnn"]["rms_target"] = 0.5
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"net_params": net_params}))
+    net_params["rvnn"]["max_epochs"] = 1_000
+    gates_config = tmp_path / "gates.json"
+    gates_config.write_text(json.dumps({"net_params": net_params}))
     bad_csv = tmp_path / "iris.csv"
     bad_csv.write_text("5.1,3.5,1.4,0.2,unicorn\n")
-    common = ["--config", str(config), "--nets", "rvnn,cvnn,qnn"]
+    nets = ["--nets", "rvnn,cvnn,qnn"]
+    common = ["--config", str(config), *nets]
     runs = [
-        ["gates", *common, "--seeds", "0,1"],
+        ["gates", "--config", str(gates_config), *nets, "--seeds", "0,1"],
         ["iris", *common, "--seeds", "0", "--format", "markdown"],
         ["entanglement", *common, "--seeds", "0"],
         ["iris", "--nets", "qnn", "--iris-csv", str(bad_csv)],

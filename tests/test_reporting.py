@@ -1,6 +1,9 @@
 """Tests for metrics and report serialization."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,3 +209,36 @@ class TestEmit:
     def test_unknown_format_is_rejected(self):
         with pytest.raises(ValidationError):
             emit_report([report()], "yaml")
+
+
+SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
+
+# Runs a short table of each experiment, emits it in both formats and
+# prints whether numpy.ma was imported along the way.
+SHORT_TABLES = """
+import sys
+from qnnbench.reporting import emit_report
+from qnnbench.runner import ExperimentConfig, run_experiment
+
+params = {net: {"max_epochs": 2} for net in ("rvnn", "cvnn", "qnn")}
+for experiment, train_size in (("gates", None), ("iris", 12), ("entanglement", None)):
+    config = ExperimentConfig(experiment=experiment, train_size=train_size, net_params=params)
+    reports = run_experiment(config)
+    for output_format in ("csv", "markdown"):
+        emit_report(reports, output_format)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_table_imports_numpy_ma():
+    # numpy.ma is about 1.3 MB of peak RSS, which the benchmark gates on; one
+    # np.unique call on the run path imports it.
+    run = subprocess.run(
+        [sys.executable, "-c", SHORT_TABLES],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.stdout == "False\n"

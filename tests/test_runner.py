@@ -29,7 +29,7 @@ class TestConfig:
         for experiment, nets in DEFAULTS.items():
             assert set(nets) == {"rvnn", "cvnn", "qnn"}
             for params in nets.values():
-                assert "max_epochs" in params and "rms_target" in params
+                assert "max_epochs" in params and "rms_target" not in params
 
     def test_rejects_unknown_experiment_and_net(self):
         with pytest.raises(ValidationError):
@@ -97,6 +97,12 @@ class TestConfig:
                 experiment="iris", net_params={"rvnn": {"momentum": 0.9}}
             )
 
+    @pytest.mark.parametrize("net, value", [("rvnn", 0.01), ("cvnn", 1.5), ("qnn", 0.0)])
+    def test_rejects_an_rms_target_as_unknown(self, net, value):
+        # Every net trains to training.RMS_TARGET; no config sets another.
+        with pytest.raises(ValidationError, match=f"{net} does not accept parameter 'rms_target'"):
+            ExperimentConfig(experiment="iris", net_params={net: {"rms_target": value}})
+
     def test_backtracking_defaults_on_for_the_witness_only(self):
         assert {e: DEFAULTS[e]["qnn"]["backtracking"] for e in DEFAULTS} == {
             "gates": False,
@@ -132,14 +138,11 @@ class TestConfig:
             ("rvnn", "hidden", 0),
             ("cvnn", "hidden", 2.5),
             ("rvnn", "learning_rate", "0.5"),
-            ("qnn", "rms_target", None),
             ("qnn", "t_f", False),
             ("qnn", "learning_rate", -1.0),
             ("qnn", "learning_rate", 0.0),
             ("qnn", "learning_rate", float("nan")),
             ("rvnn", "learning_rate", -0.5),
-            ("cvnn", "rms_target", 1.5),
-            ("qnn", "rms_target", 0.0),
             ("qnn", "t_f", -1.0),
             ("qnn", "t_f", float("inf")),
         ],
@@ -153,7 +156,7 @@ class TestConfig:
             experiment="iris",
             net_params={
                 "rvnn": {"hidden": None, "learning_rate": 1, "max_epochs": 3},
-                "cvnn": {"hidden": 4, "rms_target": 0.05},
+                "cvnn": {"hidden": 4},
                 "qnn": {"slices": 2, "t_f": 2, "backtracking": True},
             },
         )

@@ -5,6 +5,7 @@ import pytest
 
 from qnnbench.errors import ValidationError
 from qnnbench import rvnn
+from sampling import numeric_rvnn_gradients, pair_loss
 
 CORNERS = [
     np.array([0.0, 0.0]),
@@ -233,29 +234,6 @@ def test_training_is_deterministic_per_seed():
 # Gradient correctness
 # ---------------------------------------------------------------------------
 
-def pair_loss(net, x, t):
-    """The loss 0.5*sum((out - t)^2) that pair_gradients differentiates."""
-    return 0.5 * float(np.sum((rvnn.forward(net, x) - t) ** 2))
-
-
-def numeric_gradients(net, x, t, h=1e-5):
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-    for target, params in ((grad_w, net.weights), (grad_b, net.biases)):
-        for grad, param in zip(target, params):
-            it = np.nditer(param, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                saved = param[idx]
-                param[idx] = saved + h
-                up = pair_loss(net, x, t)
-                param[idx] = saved - h
-                down = pair_loss(net, x, t)
-                param[idx] = saved
-                grad[idx] = (up - down) / (2 * h)
-    return grad_w, grad_b
-
-
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
     for sizes in ((2, 1), (3, 4, 2), (4, 8, 3)):
@@ -266,7 +244,7 @@ def test_gradients_match_finite_differences():
         ]
         for x, t in pairs:
             analytic_w, analytic_b, _ = rvnn.pair_gradients(net, x, t)
-            numeric_w, numeric_b = numeric_gradients(net, x, t)
+            numeric_w, numeric_b = numeric_rvnn_gradients(net, x, t)
             for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
                 rel = np.abs(a - n) / np.maximum(np.abs(n), 1e-8)
                 assert np.max(rel) < 1e-4

@@ -204,7 +204,7 @@ def rvnn_xor_trial(max_epochs):
     net = rvnn.random_stack((2, 1), rng)
     pairs, _ = tasks.gate_encode_rvnn(XOR)
     result = rvnn.train_to_threshold(
-        net, pairs, params["learning_rate"], params["rms_target"], max_epochs
+        net, pairs, params["learning_rate"], training.RMS_TARGET, max_epochs
     )
     return result, bits(net.weights + net.biases)
 
@@ -241,7 +241,7 @@ def witness_qnn_trial(seed):
     config = qnn.QnnConfig(
         learning_rate=params["learning_rate"],
         max_epochs=params["max_epochs"],
-        rms_target=params["rms_target"],
+        rms_target=training.RMS_TARGET,
         seed=seed,
         backtracking=params["backtracking"],
     )
@@ -391,7 +391,7 @@ def test_lockstep_witness_trials_match_the_oracle():
         ]
 
     assert_lockstep_matches_the_oracle(
-        make_nets, pair_sets, params["learning_rate"], params["rms_target"], 150
+        make_nets, pair_sets, params["learning_rate"], training.RMS_TARGET, 150
     )
 
 
@@ -411,7 +411,7 @@ def test_lockstep_iris_trials_match_the_oracle():
         ]
 
     assert_lockstep_matches_the_oracle(
-        make_nets, pair_sets, params["learning_rate"], params["rms_target"], 20
+        make_nets, pair_sets, params["learning_rate"], training.RMS_TARGET, 20
     )
 
 
